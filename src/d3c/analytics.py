@@ -5,16 +5,17 @@ For storage space r and integer coding parameter g, the achievable pair is
     c(r, g) = r/K + (1 - r/K) * g        (computation load)
     L(r, g) = (1/g) * (1 - r/K)          (communication load)
 
-equivalently L = (1 - r/K)^2 / (c - r/K). The curve over c for fixed r is
-the lower convex envelope of the corner points g = 1..floor(r) together with
-the saturation point (c_star(r), optimal_load_cdc(r)); beyond c_star(r) the
-load stays flat up to c = r. At fractional r the saturation load is the
-chord between the neighboring integer points: by the converse of Li,
-Maddah-Ali, Yu and Avestimehr (arXiv:1604.07086) no scheme does better, and
-computing fewer intermediate values cannot lower it. The direct formula
-lstar_formula(r) lies below that chord and is only a bound no plan reaches.
-All arithmetic is exact rational; floats appear only when rows are
-serialized.
+equivalently L = (1 - r/K)^2 / (c - r/K); basic_computation and
+basic_communication evaluate them, and every other load in the package is
+built from those two. The curve over c for fixed r is the lower convex
+envelope of the corner points g = 1..floor(r) together with the saturation
+point (c_star(r), optimal_load_cdc(r)); beyond c_star(r) the load stays flat
+up to c = r. At fractional r the saturation load is the chord between the
+neighboring integer points: by the converse of Li, Maddah-Ali, Yu and
+Avestimehr (arXiv:1604.07086) no scheme does better, and computing fewer
+intermediate values cannot lower it. The direct formula lstar_formula(r)
+lies below that chord and is only a bound no plan reaches. All arithmetic is
+exact rational; floats appear only when rows are serialized.
 """
 
 from __future__ import annotations
@@ -76,6 +77,22 @@ def _check_r(K: int, r: Fraction, *, allow_K: bool = False) -> None:
         raise InvalidParameterError(f"need 1 <= r {bound} {K}, got r={r}")
 
 
+def basic_computation(K: int, r: int | Fraction, g: int | Fraction) -> Fraction:
+    """Computation load of a basic scheme: r/K + (1 - r/K) g."""
+    return Fraction(r, K) + (1 - Fraction(r, K)) * g
+
+
+def basic_communication(K: int, r: int | Fraction, g: int | Fraction) -> Fraction:
+    """Communication load of a basic scheme: (1/g)(1 - r/K)."""
+    return (1 - Fraction(r, K)) / g
+
+
+def implied_g(K: int, r: Fraction, c: Fraction) -> Fraction:
+    """The coding parameter whose computation load is c: the inverse of
+    basic_computation in g, (c - r/K)/(1 - r/K); needs r < K."""
+    return (c - Fraction(r, K)) / (1 - Fraction(r, K))
+
+
 def corner_load(K: int, r: RationalLike, g: int) -> CornerPoint:
     """The integer-g corner of the curve for storage space r."""
     r = to_fraction(r)
@@ -84,8 +101,7 @@ def corner_load(K: int, r: RationalLike, g: int) -> CornerPoint:
         raise InvalidParameterError(
             f"corner parameter must satisfy 1 <= g <= floor(r) = {math.floor(r)}, got {g}"
         )
-    gap = 1 - Fraction(r, K)
-    return CornerPoint(Fraction(g), Fraction(r, K) + gap * g, gap / g)
+    return CornerPoint(Fraction(g), basic_computation(K, r, g), basic_communication(K, r, g))
 
 
 def lstar_formula(K: int, r: RationalLike) -> Fraction:
@@ -97,7 +113,7 @@ def lstar_formula(K: int, r: RationalLike) -> Fraction:
     """
     r = to_fraction(r)
     _check_r(K, r, allow_K=True)
-    return (1 - Fraction(r, K)) / r
+    return basic_communication(K, r, r)
 
 
 def optimal_load_cdc(K: int, r: RationalLike) -> Fraction:
@@ -125,29 +141,17 @@ def c_star(K: int, r: RationalLike) -> Fraction:
     """Computation load beyond which the minimum communication load holds."""
     r = to_fraction(r)
     _check_r(K, r)
-    return Fraction(r, K) + (1 - Fraction(r, K)) * g_r(K, r)
-
-
-def _lower_envelope(points: list[CornerPoint]) -> list[CornerPoint]:
-    """Drop points lying on or above the chord of their neighbors."""
-    kept: list[CornerPoint] = []
-    for p in points:
-        while len(kept) >= 2:
-            a, b = kept[-2], kept[-1]
-            # b is redundant iff it sits on or above segment a->p
-            if (b.L - a.L) * (p.c - a.c) >= (p.L - a.L) * (b.c - a.c):
-                kept.pop()
-            else:
-                break
-        kept.append(p)
-    return kept
+    return basic_computation(K, r, g_r(K, r))
 
 
 def build_curve(K: int, r: RationalLike, resolution: int = 0) -> TradeoffCurve:
     """Envelope of the corners and the saturation point, flat out to c = r.
 
     The saturation point is (c_star, optimal_load_cdc): the memory-sharing
-    mixture of the (floor r, floor r) and (ceil r, ceil r) corners.
+    mixture of the (floor r, floor r) and (ceil r, ceil r) corners. The
+    points are already strictly convex, so they are the envelope: the slope
+    between corners g and g + 1 is -1/(g(g + 1)), and from the last corner
+    to the saturation point it is -1/(floor(r) ceil(r)).
     """
     r = to_fraction(r)
     _check_r(K, r)
@@ -162,7 +166,6 @@ def build_curve(K: int, r: RationalLike, resolution: int = 0) -> TradeoffCurve:
         # and the r = K side of the chord carries no load): the last corner
         # already is the saturation point
         assert cs == points[-1].c and ls == points[-1].L
-    points = _lower_envelope(points)
     for prev, nxt in zip(points, points[1:]):
         if not (prev.c < nxt.c and nxt.L <= prev.L):
             raise InternalConsistencyError(f"non-monotone curve points: {prev} -> {nxt}")

@@ -2,8 +2,9 @@
 
 Subcommands: tradeoff, simulate, compare, verify, sweep, inspect.
 Exit codes: 0 success (verifications passed), 1 usage error, 2 infeasible
-file count, 3 verification or execution failure. Output files are
-byte-identical across runs for identical flags and seed.
+file count, 3 verification or execution failure (a measured load that
+differs from its prediction included). Output files are byte-identical
+across runs for identical flags and seed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from pathlib import Path
 from . import analytics, composer, engine
 from .errors import D3CError, DivisibilityError, InvalidParameterError
 from .scheme import (
+    BasicScheme,
+    LoadReport,
     SchemeParams,
     build_basic_scheme,
     build_cdc_scheme,
@@ -193,6 +196,15 @@ def _cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
+def _basic_scheme(args, r: int) -> BasicScheme:
+    """The --cdc baseline or the --g coded scheme at integer storage r; --T
+    defaults to default_iva_bits(r)."""
+    T = default_iva_bits(r) if args.T is None else args.T
+    if args.cdc:
+        return build_cdc_scheme(args.K, args.N, r, T=T)
+    return build_basic_scheme(SchemeParams(K=args.K, N=args.N, F=64, T=T, r=r, g=args.g))
+
+
 def _resolve_simulate_plan(args):
     if args.cdc:
         if args.g is not None:
@@ -201,19 +213,15 @@ def _resolve_simulate_plan(args):
             raise InvalidParameterError("the baseline scheme needs integer --r")
         if args.c is not None and args.c != args.r:
             raise InvalidParameterError("the baseline always computes c = r")
-        T = args.T or default_iva_bits(int(args.r))
-        return build_cdc_scheme(args.K, args.N, int(args.r), T=T), T
-    if (args.c is None) == (args.g is None):
+    elif (args.c is None) == (args.g is None):
         raise InvalidParameterError("give exactly one of --c or --g")
-    if args.g is not None:
-        if args.r.denominator != 1:
-            raise InvalidParameterError("--g requires integer --r")
-        T = args.T or default_iva_bits(int(args.r))
-        params = SchemeParams(K=args.K, N=args.N, F=64, T=T, r=int(args.r), g=args.g)
-        return build_basic_scheme(params), T
+    elif args.g is not None and args.r.denominator != 1:
+        raise InvalidParameterError("--g requires integer --r")
+    if args.cdc or args.g is not None:
+        scheme = _basic_scheme(args, int(args.r))
+        return scheme, scheme.params.T
     plan = composer.plan_for_target(args.K, args.N, args.r, args.c)
-    T = args.T or composer.safe_iva_bits(plan)
-    return plan, T
+    return plan, composer.safe_iva_bits(plan) if args.T is None else args.T
 
 
 def _cmd_simulate(args) -> int:
@@ -224,7 +232,8 @@ def _cmd_simulate(args) -> int:
     suite = engine.default_suite(T, args.B)
     report = engine.execute(plan, corpus, suite, audit=True)
     _write_text(args.out, report.to_json() + "\n")
-    return EXIT_OK if report.verification_passed else EXIT_VERIFICATION
+    ok =report.verification_passed and report.measured == LoadReport(**report.predicted)
+    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def _cmd_compare(args) -> int:
@@ -269,7 +278,13 @@ def _cmd_compare(args) -> int:
             ["name", "r", "c", "L", "predicted_c", "predicted_L", "verified"],
         )
     _write_text(args.out, text)
-    return EXIT_OK if all(row.verified for row in rows) else EXIT_VERIFICATION
+    ok = all(
+        row.verified
+        and row.computation == row.predicted_computation
+        and row.communication == row.predicted_communication
+        for row in rows
+    )
+    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def _cmd_verify(args) -> int:
@@ -286,8 +301,9 @@ def _cmd_verify(args) -> int:
                 scheme = build_basic_scheme(params)
                 corpus = engine.generate_corpus(N, 16, args.seed)
                 report = engine.execute(scheme, corpus, engine.default_suite(T))
-                c_ok = report.measured.computation_load == composer.basic_computation(K, r, g)
-                l_ok = report.measured.communication_load == composer.basic_communication(K, r, g)
+                measured, predicted = report.measured, report.predicted
+                c_ok = measured.computation_load == predicted["computation_load"]
+                l_ok = measured.communication_load == predicted["communication_load"]
                 d_ok = report.verification_passed
                 ok = c_ok and l_ok and d_ok
                 all_ok &= ok
@@ -306,6 +322,8 @@ def _b(flag: bool) -> str:
 
 
 def _cmd_sweep(args) -> int:
+    if args.resolution < 2:
+        raise InvalidParameterError(f"--resolution must be at least 2, got {args.resolution}")
     rows = []
     all_ok = True
     for r in args.r:
@@ -315,7 +333,7 @@ def _cmd_sweep(args) -> int:
         if args.c:
             c_values = args.c
         else:
-            n = max(2, args.resolution)
+            n = args.resolution
             c_values = [1 + (r - 1) * Fraction(i, n - 1) for i in range(n)]
         for c in c_values:
             predicted = analytics.query_load(curve, c)
@@ -324,7 +342,7 @@ def _cmd_sweep(args) -> int:
             if args.execute:
                 N = composer.minimal_files(args.K, r, c)
                 plan = composer.plan_for_target(args.K, N, r, c)
-                T = args.T or composer.safe_iva_bits(plan)
+                T = composer.safe_iva_bits(plan) if args.T is None else args.T
                 corpus = engine.generate_corpus(N, 64, args.seed)
                 report = engine.execute(plan, corpus, engine.default_suite(T))
                 measured = _sig(report.measured.communication_load)
@@ -340,17 +358,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_inspect(args) -> int:
     if args.format == "csv":
         raise InvalidParameterError("scheme dumps are JSON only")
-    if args.cdc:
-        if args.g is not None:
-            raise InvalidParameterError("--cdc does not take --g")
-        scheme = build_cdc_scheme(args.K, args.N, args.r, T=args.T)
-    else:
-        if args.g is None:
-            raise InvalidParameterError("give --g for the coded scheme or --cdc")
-        T = args.T or default_iva_bits(args.r)
-        params = SchemeParams(K=args.K, N=args.N, F=64, T=T, r=args.r, g=args.g)
-        scheme = build_basic_scheme(params)
-    _write_text(args.out, scheme_to_json(scheme) + "\n")
+    if args.cdc and args.g is not None:
+        raise InvalidParameterError("--cdc does not take --g")
+    if not args.cdc and args.g is None:
+        raise InvalidParameterError("give --g for the coded scheme or --cdc")
+    _write_text(args.out, scheme_to_json(_basic_scheme(args, args.r)) + "\n")
     return EXIT_OK
 
 

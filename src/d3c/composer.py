@@ -21,12 +21,19 @@ planner reports the smallest admissible file count instead of padding.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytics import RationalLike, c_star, g_r, to_fraction
+from .analytics import (
+    RationalLike,
+    basic_communication,
+    basic_computation,
+    c_star,
+    g_r,
+    implied_g,
+    to_fraction,
+)
 from .combinatorics import binomial
 from .errors import DivisibilityError, InternalConsistencyError, InvalidParameterError
 
@@ -62,16 +69,6 @@ class CompositePlan:
     predicted_c: Fraction
     predicted_L: Fraction
     route: str  # one of corner, e1, e2, e3, clamp
-
-
-def basic_computation(K: int, r: int, g: int) -> Fraction:
-    """Computation load of a basic scheme: r/K + (1 - r/K) g."""
-    return Fraction(r, K) + (1 - Fraction(r, K)) * g
-
-
-def basic_communication(K: int, r: int, g: int) -> Fraction:
-    """Communication load of a basic scheme: (1/g)(1 - r/K)."""
-    return (1 - Fraction(r, K)) / g
 
 
 def split_e1(K: int, r: RationalLike, g: int) -> tuple[Fraction, list[GroupSpec]]:
@@ -137,7 +134,7 @@ def split_e3(K: int, r: RationalLike, c: RationalLike) -> tuple[Fraction, list[G
             "saturation split is empty when ceil(r) = K; the saturation "
             "parameter equals floor(r), use the storage split there"
         )
-    g_implied = (c - Fraction(r, K)) / (1 - Fraction(r, K))
+    g_implied = implied_g(K, r, c)
     gr = g_r(K, r)
     if not lo < g_implied <= gr:
         raise InvalidParameterError(
@@ -172,7 +169,7 @@ def _route(K: int, r: Fraction, c: Fraction) -> tuple[str, list[GroupSpec]]:
         raise InvalidParameterError(f"need 1 <= c <= r, got c={c}, r={r}")
     if not r < K:
         raise InvalidParameterError(f"need r < K for planning, got r={r}, K={K}")
-    g_implied = (c - Fraction(r, K)) / (1 - Fraction(r, K))
+    g_implied = implied_g(K, r, c)
     lo = math.floor(r)
     if g_implied <= lo:
         if g_implied.denominator == 1:
@@ -282,7 +279,3 @@ def plan_to_dict(plan: CompositePlan) -> dict:
         ],
         "predicted_L": str(plan.predicted_L),
     }
-
-
-def plan_to_json(plan: CompositePlan, *, indent: int = 2) -> str:
-    return json.dumps(plan_to_dict(plan), indent=indent)

@@ -20,14 +20,9 @@ from fractions import Fraction
 from random import Random
 from typing import IO, Callable, Sequence
 
-from .analytics import lstar_formula
+from .analytics import basic_communication, basic_computation
 from .bits import BitString
-from .composer import (
-    CompositePlan,
-    basic_communication,
-    basic_computation,
-    safe_iva_bits,
-)
+from .composer import CompositePlan, safe_iva_bits
 from .errors import (
     ExecutionError,
     InternalConsistencyError,
@@ -129,7 +124,6 @@ def oracle(corpus: Corpus, suite: FunctionSuite, K: int) -> list[BitString]:
 
 @dataclass
 class _Auditor:
-    enabled: bool
     file_reads: int = 0
     signal_reads: int = 0
     violations: list[dict] = field(default_factory=list)
@@ -250,58 +244,52 @@ class ExecutionReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _bound_groups(plan: BasicScheme | CompositePlan, F: int, T: int) -> list[tuple[BasicScheme, int]]:
-    """Materialize (scheme, file offset) pairs for execution."""
+def _bind(
+    plan: BasicScheme | CompositePlan, F: int, suite: FunctionSuite | None
+) -> tuple[dict, list[tuple[BasicScheme, int]]]:
+    """The report's plan summary and the (scheme, file offset) groups to run.
+
+    A basic scheme is one group at offset 0; a composite plan's groups are
+    built with the corpus file size and the suite's value size (or the
+    plan's safe size when no suite is given).
+    """
     if isinstance(plan, BasicScheme):
-        return [(plan, 0)]
-    out = []
+        return {"type": plan.kind, "r": plan.params.r, "g": plan.params.g}, [(plan, 0)]
+    T = suite.iva_bits if suite else safe_iva_bits(plan)
+    summary = {
+        "type": "composite",
+        "route": plan.route,
+        "target_r": str(plan.target_r),
+        "target_c": str(plan.target_c),
+        "groups": [
+            {
+                "fraction": str(sp.fraction),
+                "r": sp.r,
+                "g": sp.g,
+                "first_file": sp.first_file,
+                "file_count": sp.file_count,
+            }
+            for sp in plan.groups
+        ],
+    }
+    groups = []
     for sp in plan.groups:
         params = SchemeParams(K=plan.K, N=sp.file_count, F=F, T=T, r=sp.r, g=sp.g)
-        out.append((build_basic_scheme(params), sp.first_file - 1))
-    return out
+        groups.append((build_basic_scheme(params), sp.first_file - 1))
+    return summary, groups
 
 
-def _predicted_loads(plan: BasicScheme | CompositePlan) -> dict[str, Fraction]:
-    if isinstance(plan, CompositePlan):
-        return {
-            "storage_space": plan.predicted_r,
-            "computation_load": plan.predicted_c,
-            "communication_load": plan.predicted_L,
-        }
-    p = plan.params
-    if plan.kind == "cdc":
-        computation = Fraction(p.r)
-        communication = lstar_formula(p.K, p.r) if p.r < p.K else Fraction(0)
-    else:
-        computation = basic_computation(p.K, p.r, p.g)
-        communication = basic_communication(p.K, p.r, p.g) if p.r < p.K else Fraction(0)
-    return {
-        "storage_space": Fraction(p.r),
-        "computation_load": computation,
-        "communication_load": communication,
-    }
-
-
-def _plan_summary(plan: BasicScheme | CompositePlan) -> dict:
-    if isinstance(plan, CompositePlan):
-        return {
-            "type": "composite",
-            "route": plan.route,
-            "target_r": str(plan.target_r),
-            "target_c": str(plan.target_c),
-            "groups": [
-                {
-                    "fraction": str(sp.fraction),
-                    "r": sp.r,
-                    "g": sp.g,
-                    "first_file": sp.first_file,
-                    "file_count": sp.file_count,
-                }
-                for sp in plan.groups
-            ],
-        }
-    p = plan.params
-    return {"type": plan.kind, "r": p.r, "g": p.g}
+def _predicted_loads(groups: list[tuple[BasicScheme, int]], N: int) -> dict[str, Fraction]:
+    """File-weighted closed-form loads of the groups; a cdc group computes
+    every value of its stored files, so its computation load is r."""
+    r = c = L = Fraction(0)
+    for scheme, _ in groups:
+        p = scheme.params
+        weight = Fraction(p.N, N)
+        r += weight * p.r
+        c += weight * (p.r if scheme.kind == "cdc" else basic_computation(p.K, p.r, p.g))
+        L += weight * basic_communication(p.K, p.r, p.g)
+    return {"storage_space": r, "computation_load": c, "communication_load": L}
 
 
 def _signal_overhead_bits(K: int, group_i: int, group_j: int) -> int:
@@ -324,13 +312,10 @@ def execute(
     """Run map, shuffle, and reduce under ``plan`` and verify against the
     centralized oracle. Raises only on plan/corpus mismatch or internal
     inconsistency; a wrong output is reported, not raised."""
-    if isinstance(plan, BasicScheme):
-        K, N_total = plan.params.K, plan.params.N
-        F, T = plan.params.F, plan.params.T
-    else:
-        K, N_total = plan.K, plan.N
-        F = corpus.F
-        T = suite.iva_bits if suite else safe_iva_bits(plan)
+    summary, groups = _bind(plan, corpus.F, suite)
+    first = groups[0][0].params
+    K, F, T = first.K, first.F, first.T
+    N_total = sum(scheme.params.N for scheme, _ in groups)
     if corpus.N != N_total:
         raise InvalidParameterError(
             f"corpus has {corpus.N} files but the plan needs {N_total}"
@@ -344,9 +329,8 @@ def execute(
             f"suite produces {suite.iva_bits}-bit values but the plan assumes {T}"
         )
 
-    groups = _bound_groups(plan, F, T)
     nodes = range(1, K + 1)
-    auditor = _Auditor(enabled=audit)
+    auditor = _Auditor()
 
     # per-node allowed file sets across all groups
     allowed: dict[int, set[int]] = {k: set() for k in nodes}
@@ -459,9 +443,9 @@ def execute(
         T=T,
         B=suite.output_bits,
         seed=corpus.seed,
-        plan=_plan_summary(plan),
+        plan=summary,
         measured=measured,
-        predicted=_predicted_loads(plan),
+        predicted=_predicted_loads(groups, N_total),
         per_node=per_node,
         outputs=tuple(out.to_bytes().hex() for out in outputs),
         verification_passed=first_mismatch is None,

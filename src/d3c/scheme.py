@@ -112,9 +112,6 @@ class BasicScheme:
         """All intermediate values node k computes in the map phase."""
         return set(self.compute_own[k]) | set(self.compute_coded[k])
 
-    def stored_batches(self, k: int) -> list[BatchIndex]:
-        return [b for b in self.batches if k in b.s]
-
     def missing_batches(self, k: int) -> list[BatchIndex]:
         """Batches whose own-target values node k must learn in the shuffle."""
         return [b for b in self.batches if k not in b.s]

@@ -10,11 +10,13 @@ from fractions import Fraction
 import pytest
 
 from d3c.analytics import (
+    basic_computation,
     build_curve,
     c_star,
     corner_load,
     curve_rows,
     g_r,
+    implied_g,
     lstar_formula,
     optimal_load_cdc,
     query_load,
@@ -159,6 +161,24 @@ def test_curve_monotone_and_convex():
             for a, b, c in zip(pts, pts[1:], pts[2:]):
                 chord = a.L + (c.L - a.L) * (b.c - a.c) / (c.c - a.c)
                 assert b.L <= chord
+
+
+def test_implied_g_inverts_basic_computation():
+    for K in range(2, 9):
+        for num in range(4, 4 * K):
+            r = Fraction(num, 4)
+            for g in (1, Fraction(3, 2), 2, r):
+                assert implied_g(K, r, basic_computation(K, r, g)) == g
+
+
+def test_curve_points_strictly_convex():
+    # the points need no envelope pass: each interior point lies strictly
+    # below the chord of its neighbours
+    for K in range(2, 13):
+        for num in range(20, 20 * K):
+            pts = build_curve(K, Fraction(num, 20)).points
+            for a, b, c in zip(pts, pts[1:], pts[2:]):
+                assert (b.L - a.L) * (c.c - a.c) < (c.L - a.L) * (b.c - a.c), (K, num, b)
 
 
 def test_curve_envelope_may_drop_a_corner():

@@ -201,6 +201,51 @@ def test_sweep_execution_fails_on_load_gap(capsys, monkeypatch):
     assert rows[0][4] == "true"  # decoding still verifies; only the load is off
 
 
+def test_zero_value_size_is_rejected(capsys):
+    base = ("--K", "3", "--N", "6", "--r", "2", "--T", "0")
+    for argv in (
+        ("simulate", *base, "--g", "2"),
+        ("simulate", *base, "--c", "4/3"),
+        ("simulate", *base, "--cdc"),
+        ("inspect", *base, "--g", "2"),
+        ("inspect", *base, "--cdc"),
+        ("sweep", "--K", "4", "--r", "2", "--resolution", "2", "--execute", "--T", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "positive" in err
+
+
+def test_sweep_rejects_resolution_below_two(capsys):
+    for resolution in ("0", "1", "-3"):
+        code, out, err = run(capsys, "sweep", "--K", "10", "--r", "2", "--resolution", resolution)
+        assert (code, out) == (1, "")
+        assert "--resolution must be at least 2" in err
+    code, out, _ = run(capsys, "sweep", "--K", "10", "--r", "2", "--resolution", "2")
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 2
+
+
+def test_simulate_and_compare_fail_on_load_gap(capsys, monkeypatch):
+    import d3c.engine
+
+    real = d3c.engine.basic_communication
+    monkeypatch.setattr(
+        d3c.engine, "basic_communication", lambda K, r, g: real(K, r, g) + Fraction(1, 100)
+    )
+    for how in (("--g", "2"), ("--c", "4/3"), ("--cdc",)):
+        code, out, _ = run(capsys, "simulate", "--K", "3", "--N", "6", "--r", "2", *how)
+        assert code == 3, how
+        doc = json.loads(out)
+        assert doc["verification"]["passed"] is True  # only the load is off
+        assert doc["measured"]["communication_load"] != doc["predicted"]["communication_load"]
+    code, out, _ = run(capsys, "compare", "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--cdc")
+    assert code == 3
+    _, rows = parse_csv(out)
+    assert [row[6] for row in rows] == ["true", "true"]
+    assert all(row[3] != row[5] for row in rows)
+
+
 def test_inspect_schema(capsys):
     code, out, _ = run(
         capsys, "inspect", "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--T", "8"

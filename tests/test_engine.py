@@ -174,7 +174,7 @@ def test_audit_mode_records_and_stays_clean():
 
 def test_out_of_placement_read_is_blocked_and_recorded():
     corpus = generate_corpus(4, 8, 0)
-    auditor = _Auditor(enabled=True)
+    auditor = _Auditor()
     view = _NodeFiles(1, corpus, {1, 2}, auditor)
     assert view.read(2) == corpus.files[1]
     with pytest.raises(ExecutionError):
