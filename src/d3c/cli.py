@@ -80,17 +80,18 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="d3c", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, help_text: str, **flags) -> _Parser:
+    def add(name: str, help_text: str, formats: tuple[str, ...], **flags) -> _Parser:
         p = sub.add_parser(name, help=help_text)
         for flag, spec in flags.items():
             p.add_argument(f"--{flag}", **spec)
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        p.add_argument("--format", choices=formats, help="output format")
         return p
 
     p = add(
         "tradeoff",
         "emit the load curve for one storage space, or the saturation sweep",
+        ("csv", "json"),
         K={"type": int, "required": True},
         r={"type": _fraction},
         resolution={"type": int, "default": 0, "help": "interpolated samples per segment"},
@@ -101,6 +102,7 @@ def _build_parser() -> _Parser:
     p = add(
         "simulate",
         "plan, execute, and verify one run",
+        ("json",),
         K={"type": int, "required": True},
         N={"type": int, "required": True},
         r={"type": _fraction, "required": True},
@@ -116,6 +118,7 @@ def _build_parser() -> _Parser:
     p = add(
         "compare",
         "execute several schemes on one corpus and tabulate the loads",
+        ("csv", "json"),
         K={"type": int, "required": True},
         N={"type": int, "required": True},
         r={"type": int, "required": True},
@@ -130,6 +133,7 @@ def _build_parser() -> _Parser:
     p = add(
         "verify",
         "exhaustively check decodability and exact loads up to a node count",
+        ("csv", "json"),
         K={"type": int, "required": True, "help": "largest node count to check"},
         seed={"type": int, "default": 0},
     )
@@ -138,6 +142,7 @@ def _build_parser() -> _Parser:
     p = add(
         "sweep",
         "tabulate predicted (and optionally measured) loads over a grid",
+        ("csv",),
         K={"type": int, "required": True},
         r={"type": _fraction_list, "required": True},
         c={"type": _fraction_list, "default": []},
@@ -151,6 +156,7 @@ def _build_parser() -> _Parser:
     p = add(
         "inspect",
         "serialize a scheme's placement and compute plan as JSON",
+        ("json",),
         K={"type": int, "required": True},
         N={"type": int, "required": True},
         r={"type": int, "required": True},
@@ -166,6 +172,8 @@ def _build_parser() -> _Parser:
 def _cmd_tradeoff(args) -> int:
     fmt = args.format or "csv"
     if args.cstar_sweep:
+        if args.K < 2:
+            raise InvalidParameterError("need --K >= 2")
         step = Fraction(1, 20)
         rows = []
         r = Fraction(1)
@@ -225,8 +233,6 @@ def _resolve_simulate_plan(args):
 
 
 def _cmd_simulate(args) -> int:
-    if args.format == "csv":
-        raise InvalidParameterError("simulate reports are JSON only")
     plan, T = _resolve_simulate_plan(args)
     corpus = engine.generate_corpus(args.N, 64, args.seed)
     suite = engine.default_suite(T, args.B)
@@ -356,8 +362,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    if args.format == "csv":
-        raise InvalidParameterError("scheme dumps are JSON only")
     if args.cdc and args.g is not None:
         raise InvalidParameterError("--cdc does not take --g")
     if not args.cdc and args.g is None:
@@ -380,7 +384,7 @@ def main(argv=None) -> int:
             msg += f" (smallest admissible file count: {err.min_files})"
         print(f"d3c: infeasible: {msg}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except InvalidParameterError as err:
+    except (InvalidParameterError, OverflowError) as err:
         print(f"d3c: error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except D3CError as err:

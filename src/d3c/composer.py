@@ -1,18 +1,20 @@
 """Planning fractional (storage, computation) targets as file-group mixtures.
 
 A fractional target is realized by partitioning the file corpus into groups
-and running an independent basic scheme per group. Three splits compose:
+and running an independent basic scheme per group. Every plan is a
+file-weighted mix (_mix) of two group lists, built by one of three
+constructions:
 
-  fractional storage   -> two groups at the neighboring integer storage values
-  fractional coding    -> two storage splits at the neighboring integer g
-  saturation approach  -> a storage split at g = floor(r) mixed with a full
-                          (ceil(r), ceil(r)) group, weighted so the implied
-                          coding parameter lands between floor(r) and its
-                          saturation value
+  fractional storage   -> the corners (floor(r), g) and (ceil(r), g)
+  fractional coding    -> the storage splits at the neighboring integer g
+  saturation approach  -> the storage split at g = floor(r) and the
+                          saturation pair (floor(r), floor(r)) /
+                          (ceil(r), ceil(r)), weighted so the implied coding
+                          parameter lands between floor(r) and g_r
 
-Beyond saturation the planner clamps to the saturation mixture: extra
-computation budget buys no further communication savings, so the plan's
-effective computation stays at the saturation load.
+Beyond saturation the plan is the plan at c_star: extra computation budget
+buys no further communication savings, so the plan's effective computation
+stays at the saturation load.
 
 Weighted loads are exact rationals, so at any admissible corpus size every
 target is hit exactly; no tolerance slack appears in any interface. The
@@ -94,6 +96,16 @@ def split_e1(K: int, r: RationalLike, g: int) -> tuple[Fraction, list[GroupSpec]
     ]
 
 
+def _mix(a: list[GroupSpec], b: list[GroupSpec], w: Fraction) -> list[GroupSpec]:
+    """1 - w of groups a plus w of groups b: duplicate (r, g) groups are
+    combined, zero weights dropped, first-seen order kept."""
+    acc: dict[tuple[int, int], Fraction] = {}
+    for weight, groups in ((1 - w, a), (w, b)):
+        for sp in groups:
+            acc[sp.r, sp.g] = acc.get((sp.r, sp.g), Fraction(0)) + weight * sp.fraction
+    return [GroupSpec(f, r, g) for (r, g), f in acc.items() if f]
+
+
 def split_e2(K: int, r: RationalLike, g: RationalLike) -> tuple[Fraction, list[GroupSpec]]:
     """Fractional-coding split: two storage splits at the neighboring integers.
 
@@ -109,19 +121,16 @@ def split_e2(K: int, r: RationalLike, g: RationalLike) -> tuple[Fraction, list[G
             f"fractional coding split requires 1 <= g < floor(r); got g={g}, "
             f"r={r} (beyond floor(r) use the saturation split)"
         )
-    _, groups_lo = split_e1(K, r, lo_g)
-    _, groups_hi = split_e1(K, r, lo_g + 1)
-    groups = [_scaled(sp, 1 - beta) for sp in groups_lo]
-    groups += [_scaled(sp, beta) for sp in groups_hi]
-    return beta, groups
+    return beta, _mix(split_e1(K, r, lo_g)[1], split_e1(K, r, lo_g + 1)[1], beta)
 
 
 def split_e3(K: int, r: RationalLike, c: RationalLike) -> tuple[Fraction, list[GroupSpec]]:
     """Saturation-approach split for fractional r.
 
-    Solves the unique theta in (0, r - floor(r)] matching the computation
-    budget, then mixes a storage split at reduced storage r'(theta) and
-    g = floor(r) with a full (ceil(r), ceil(r)) group of weight theta.
+    Mixes the storage split at g = floor(r) with the saturation pair
+    (floor(r), floor(r)) / (ceil(r), ceil(r)) in the proportion lambda that
+    puts the implied coding parameter between floor(r) and g_r. Returns
+    theta = lambda (r - floor(r)), the weight of the (ceil(r), ceil(r)) group.
     """
     r, c = to_fraction(r), to_fraction(c)
     if not 1 <= r < K:
@@ -141,58 +150,30 @@ def split_e3(K: int, r: RationalLike, c: RationalLike) -> tuple[Fraction, list[G
             f"computation budget {c} implies coding parameter {g_implied}, "
             f"outside the saturation interval ({lo}, {gr}]"
         )
-    theta = (g_implied - lo) * (K - r) / (K - hi)
-    r_prime = r - theta * (hi - r) / (1 - theta)
-    if not lo <= r_prime < hi:
-        raise InternalConsistencyError(f"reduced storage {r_prime} out of range")
-    _, inner = split_e1(K, r_prime, lo)
-    groups = [_scaled(sp, 1 - theta) for sp in inner]
-    groups.append(GroupSpec(theta, hi, hi))
-    return theta, groups
-
-
-def _scaled(spec: GroupSpec, weight: Fraction) -> GroupSpec:
-    return GroupSpec(spec.fraction * weight, spec.r, spec.g)
-
-
-def _merged(groups: list[GroupSpec]) -> list[GroupSpec]:
-    """Combine duplicate (r, g) groups, drop zero weights, keep first-seen order."""
-    acc: dict[tuple[int, int], Fraction] = {}
-    for sp in groups:
-        key = (sp.r, sp.g)
-        acc[key] = acc.get(key, Fraction(0)) + sp.fraction
-    return [GroupSpec(f, rg[0], rg[1]) for rg, f in acc.items() if f]
+    alpha = r - lo
+    lam = (g_implied - lo) / (gr - lo)
+    saturation = [GroupSpec(1 - alpha, lo, lo), GroupSpec(alpha, hi, hi)]
+    return lam * alpha, _mix(split_e1(K, r, lo)[1], saturation, lam)
 
 
 def _route(K: int, r: Fraction, c: Fraction) -> tuple[str, list[GroupSpec]]:
+    """The route label and the groups of the plan for (r, c); beyond
+    saturation, the groups of the plan at c_star."""
     if not 1 <= c <= r:
         raise InvalidParameterError(f"need 1 <= c <= r, got c={c}, r={r}")
     if not r < K:
         raise InvalidParameterError(f"need r < K for planning, got r={r}, K={K}")
-    g_implied = implied_g(K, r, c)
-    lo = math.floor(r)
-    if g_implied <= lo:
-        if g_implied.denominator == 1:
-            g = int(g_implied)
-            groups = split_e1(K, r, g)[1]
-            route = "corner" if r.denominator == 1 else "e1"
-        else:
-            groups = split_e2(K, r, g_implied)[1]
-            route = "e2"
-    elif r.denominator != 1 and math.ceil(r) < K and g_implied <= g_r(K, r):
-        groups = split_e3(K, r, c)[1]
-        route = "e3"
+    g, gr = implied_g(K, r, c), g_r(K, r)
+    clamp = g > gr
+    if clamp:
+        g, c = gr, c_star(K, r)
+    if g.denominator == 1:
+        route, groups = ("corner" if r.denominator == 1 else "e1"), split_e1(K, r, int(g))[1]
+    elif g < math.floor(r):
+        route, groups = "e2", split_e2(K, r, g)[1]
     else:
-        # beyond saturation: the plan at the saturation parameter already
-        # attains the flat minimum, extra budget is left unused
-        if r.denominator == 1:
-            groups = [GroupSpec(Fraction(1), int(r), int(r))]
-        elif math.ceil(r) == K:
-            groups = split_e1(K, r, lo)[1]
-        else:
-            groups = split_e3(K, r, c_star(K, r))[1]
-        route = "clamp"
-    return route, _merged(groups)
+        route, groups = "e3", split_e3(K, r, c)[1]
+    return ("clamp" if clamp else route), groups
 
 
 def group_divisor(K: int, r: int, g: int) -> int:
@@ -200,10 +181,9 @@ def group_divisor(K: int, r: int, g: int) -> int:
     return binomial(K, r) * binomial(r, g)
 
 
-def minimal_files(K: int, r: RationalLike, c: RationalLike) -> int:
-    """Smallest corpus size for which the plan's groups all come out integer
-    and meet their schemes' divisibility requirements."""
-    _, groups = _route(K, to_fraction(r), to_fraction(c))
+def _files_needed(K: int, groups: list[GroupSpec]) -> int:
+    """Smallest corpus size at which every group's file count is an integer
+    multiple of its scheme's divisor."""
     need = 1
     for sp in groups:
         divisor = group_divisor(K, sp.r, sp.g)
@@ -212,11 +192,17 @@ def minimal_files(K: int, r: RationalLike, c: RationalLike) -> int:
     return need
 
 
+def minimal_files(K: int, r: RationalLike, c: RationalLike) -> int:
+    """Smallest corpus size for which the plan's groups all come out integer
+    and meet their schemes' divisibility requirements."""
+    return _files_needed(K, _route(K, to_fraction(r), to_fraction(c))[1])
+
+
 def plan_for_target(K: int, N: int, r: RationalLike, c: RationalLike) -> CompositePlan:
     """Build the composite plan hitting (r, c) on a corpus of N files."""
     r, c = to_fraction(r), to_fraction(c)
     route, groups = _route(K, r, c)
-    need = minimal_files(K, r, c)
+    need = _files_needed(K, groups)
     if N < 1 or N % need:
         raise DivisibilityError(
             f"corpus of {N} files cannot be split for target (r={r}, c={c}); "
@@ -251,14 +237,14 @@ def plan_for_target(K: int, N: int, r: RationalLike, c: RationalLike) -> Composi
     )
 
 
-def safe_iva_bits(plan: CompositePlan, *, base: int = 8) -> int:
-    """Smallest multiple of ``base`` bits meeting every group's segment
+def safe_iva_bits(plan: CompositePlan) -> int:
+    """Smallest whole-byte value size meeting every group's segment
     divisibility (g must divide batch_files * T)."""
     need = 1
     for sp in plan.groups:
         eta = sp.file_count // group_divisor(plan.K, sp.r, sp.g)
-        need = math.lcm(need, sp.g // math.gcd(sp.g, eta * base))
-    return base * need
+        need = math.lcm(need, sp.g // math.gcd(sp.g, eta * 8))
+    return 8 * need
 
 
 def plan_to_dict(plan: CompositePlan) -> dict:

@@ -345,8 +345,6 @@ def execute(
     overhead_bits = 0
     sent_signals = {k: 0 for k in nodes}
     sent_bits = {k: 0 for k in nodes}
-    received_signals = {k: 0 for k in nodes}
-    received_bits = {k: 0 for k in nodes}
     collected: dict[int, dict[int, BitString]] = {k: {} for k in nodes}
 
     for scheme, offset in groups:
@@ -371,10 +369,6 @@ def execute(
             sent_signals[sender] += 1
             sent_bits[sender] += signal.bit_length
             overhead_bits += _signal_overhead_bits(K, len(group.i), len(group.j))
-            for k in nodes:
-                if k != sender:
-                    received_signals[k] += 1
-                    received_bits[k] += signal.bit_length
         if trace is not None:
             write_signal_trace(
                 sorted(all_signals.values(), key=lambda s: (s.group, s.sender)), trace
@@ -416,6 +410,9 @@ def execute(
         computation_load=Fraction(evaluations, N_total * K),
         communication_load=Fraction(total_bits, N_total * K * T),
     )
+    # every signal is broadcast to the other K - 1 nodes, so each node
+    # receives all signals but its own
+    all_sent, all_sent_bits = sum(sent_signals.values()), sum(sent_bits.values())
     per_node = tuple(
         PerNodeStats(
             node=k,
@@ -425,8 +422,8 @@ def execute(
             ),
             sent_signals=sent_signals[k],
             sent_bits=sent_bits[k],
-            received_signals=received_signals[k],
-            received_bits=received_bits[k],
+            received_signals=all_sent - sent_signals[k],
+            received_bits=all_sent_bits - sent_bits[k],
         )
         for k in nodes
     )

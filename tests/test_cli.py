@@ -269,3 +269,45 @@ def test_outputs_byte_identical_across_runs(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_too_large_counts_are_usage_errors(capsys):
+    for argv in (
+        ("inspect", "--K", "70", "--N", "6", "--r", "35", "--g", "1"),
+        ("simulate", "--K", "100", "--N", "6", "--r", "50", "--g", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("d3c: error: C(") and "exceeds the 64-bit count range" in err
+
+
+def test_saturation_sweep_needs_two_nodes(capsys):
+    for K in ("1", "0", "-2"):
+        code, out, err = run(capsys, "tradeoff", "--cstar-sweep", "--K", K)
+        assert (code, out) == (1, "")
+        assert "need --K >= 2" in err
+
+
+def test_unsupported_format_is_rejected(capsys):
+    for argv in (
+        ("sweep", "--K", "4", "--r", "2", "--format", "json"),
+        ("simulate", "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--format", "csv"),
+        ("inspect", "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--format", "csv"),
+        ("tradeoff", "--K", "3", "--r", "2", "--format", "xml"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "argument --format: invalid choice" in err
+    for argv in (
+        ("tradeoff", "--K", "3", "--r", "2", "--format", "json"),
+        ("compare", "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--format", "json"),
+        ("verify", "--K", "3", "--format", "json"),
+        ("simulate", "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--format", "json"),
+        ("inspect", "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--format", "json"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        json.loads(out)
+    code, out, _ = run(capsys, "sweep", "--K", "4", "--r", "2", "--format", "csv")
+    assert code == 0
+    assert parse_csv(out)[0] == ["r", "c", "predicted_L", "measured_L", "verified"]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from d3c.bits import BitString
 from d3c.combinatorics import binomial
 from d3c.composer import minimal_files, plan_for_target, safe_iva_bits
 from d3c.engine import (
@@ -19,6 +20,7 @@ from d3c.engine import (
 )
 from d3c.errors import ExecutionError, InvalidParameterError
 from d3c.scheme import build_basic_scheme, build_cdc_scheme, make_params
+from d3c.shuffle import MulticastSignal
 
 
 def run_basic(K, N, r, g, *, T, seed=42, F=64, audit=False, trace=None):
@@ -235,3 +237,27 @@ def test_compare_single_config_and_corner_pair():
     pair = compare_schemes([("d3c", 2, 1), ("d3c", 2, 2)], 4, 24, T=8)
     assert pair[1].communication == pair[0].communication / 2
     assert pair[1].computation - pair[0].computation == Fraction(1, 2)
+
+
+def test_flipped_signal_bit_fails_verification(monkeypatch):
+    import d3c.engine
+    from d3c.cli import main
+
+    receiver = 3
+    real_run_shuffle = d3c.engine.run_shuffle
+
+    def corrupting_run_shuffle(scheme, computed):
+        delivered, bits = real_run_shuffle(scheme, computed)
+        # a signal whose coding set holds the receiver, so it decodes with it
+        key = next(key for key in sorted(delivered[receiver]) if receiver in key[1].j)
+        signal = delivered[receiver][key]
+        flipped = BitString(signal.payload.value ^ 1, signal.payload.length)
+        delivered[receiver][key] = MulticastSignal(signal.sender, signal.group, flipped)
+        return delivered, bits
+
+    monkeypatch.setattr(d3c.engine, "run_shuffle", corrupting_run_shuffle)
+    report = run_basic(3, 6, 2, 2, T=8)
+    assert report.verification_passed is False
+    assert report.first_mismatch["node"] == receiver
+    argv = ["simulate", "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--T", "8"]
+    assert main(argv) == 3

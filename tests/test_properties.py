@@ -1,18 +1,27 @@
-"""Properties of executed plans over generated (K, r, c) targets.
+"""Properties over generated inputs: executed plans, CLI argv, bit strings
+and block segmentation.
 
-Every target on the grid below is planned at its smallest admissible corpus
-and executed; the measured loads must equal the curve and the closed-form
-prediction exactly, whatever route the planner takes.
+Every (K, r, c) target on the grid below is planned at its smallest
+admissible corpus and executed; the measured loads must equal the curve and
+the closed-form prediction exactly, whatever route the planner takes.
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d3c.analytics import build_curve, query_load
+from d3c.bits import BitString
+from d3c.cli import main
+from d3c.combinatorics import BatchIndex
 from d3c.composer import minimal_files, plan_for_target, safe_iva_bits
 from d3c.engine import default_suite, execute, generate_corpus
+from d3c.errors import SegmentationError
+from d3c.shuffle import IvaBlock, segment_block
 
 MAX_FILES = 3000  # bounds the run time of one example
 
@@ -55,3 +64,106 @@ def test_executed_plan_meets_curve_and_prediction(target):
         "computation_load": plan.predicted_c,
         "communication_load": plan.predicted_L,
     }, plan.route
+
+
+# ------------------------------------------------------------ CLI exit codes
+
+# p/0 is not a rational number; p/4 covers the planner's quarter grid
+rationals = st.builds("{}/{}".format, st.integers(-1, 13), st.sampled_from([1, 2, 4, 0]))
+small_ints = st.integers(-1, 6)
+
+
+def _flag(name, values):
+    """``--name value`` or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}", str(v)]))
+
+
+def _switch(name):
+    return st.sampled_from([[], [f"--{name}"]])
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one of the six subcommands: small values, invalid ones included."""
+    command = draw(st.sampled_from(["tradeoff", "simulate", "compare", "verify", "sweep", "inspect"]))
+    execute = command == "sweep" and draw(st.booleans())
+    # an executed sweep at K <= 3 plans at most 456 files per point, and
+    # verify checks every scheme up to its --K
+    top = 3 if execute else 4 if command == "verify" else 6
+    argv = [command, "--K", str(draw(st.integers(-1, top)))]
+    if command in ("simulate", "compare", "inspect"):
+        argv += ["--N", str(draw(st.integers(-1, 120)))]
+    if command == "tradeoff":
+        argv += draw(st.one_of(_flag("r", rationals), st.just(["--cstar-sweep"])))
+        argv += draw(_flag("resolution", small_ints))
+    elif command == "simulate":
+        argv += ["--r", draw(rationals)] + draw(_flag("c", rationals)) + draw(_flag("g", small_ints))
+        argv += draw(_flag("B", st.integers(-8, 64)))
+    elif command == "compare":
+        argv += ["--r", str(draw(small_ints))]
+        argv += draw(_flag("g", st.lists(small_ints.map(str), min_size=1, max_size=2).map(",".join)))
+    elif command == "sweep":
+        lists = st.lists(rationals, min_size=1, max_size=2).map(",".join)
+        argv += ["--r", draw(lists)] + draw(_flag("c", lists)) + draw(_flag("resolution", small_ints))
+        argv += ["--execute"] if execute else []
+    elif command == "inspect":
+        argv += ["--r", str(draw(small_ints))] + draw(_flag("g", small_ints))
+    if command in ("simulate", "compare", "inspect"):
+        argv += draw(_switch("cdc"))
+    if command in ("simulate", "compare", "sweep", "inspect"):
+        argv += draw(_flag("T", st.integers(-8, 64)))
+    return argv + draw(_flag("format", st.sampled_from(["csv", "json", "xml"])))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(cli_argv())
+@example(["inspect", "--K", "70", "--N", "6", "--r", "35", "--g", "1"])
+@example(["simulate", "--K", "100", "--N", "6", "--r", "50", "--g", "1"])
+@example(["tradeoff", "--cstar-sweep", "--K", "1"])
+@example(["sweep", "--K", "4", "--r", "2", "--format", "json"])
+@example(["simulate", "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--format", "csv"])
+def test_cli_always_ends_in_an_exit_code(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in {0, 1, 2, 3}
+
+
+# ------------------------------------------------------ bit strings, segments
+
+@st.composite
+def bit_strings(draw, length=st.integers(0, 80)):
+    n = draw(length)
+    return BitString(draw(st.integers(0, 2**n - 1)), n)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(bit_strings(), st.data())
+def test_bit_string_round_trips(x, data):
+    n = x.length
+    cut = data.draw(st.integers(0, n))
+    head, tail = x.slice(0, cut), x.slice(cut, n - cut)
+    assert head.concat(tail) == x == BitString.join([head, tail])
+    assert BitString.from_bytes(x.to_bytes(), n) == x
+    y = data.draw(bit_strings(st.just(n)))
+    assert x.xor(y).xor(y) == x
+    assert x.xor(y) == y.xor(x)
+    if n:
+        width = data.draw(st.sampled_from([w for w in range(1, n + 1) if n % w == 0]))
+        assert BitString.join(x.chunks(width)) == x
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 6), st.integers(0, 24), st.data())
+def test_segment_block_is_lossless(g, seg_bits, data):
+    batch = BatchIndex(tuple(range(1, g + 2)), tuple(range(2, g + 2)))
+    block = IvaBlock(batch, 1, data.draw(bit_strings(st.just(g * seg_bits))))
+    segments = segment_block(block, g)
+    assert [s.owner for s in segments] == list(batch.t)
+    assert all(s.payload.length == seg_bits for s in segments)
+    assert BitString.join(s.payload for s in segments) == block.payload
+    extra = data.draw(st.integers(0, g - 1))
+    if extra:
+        ragged = IvaBlock(batch, 1, block.payload.concat(BitString(0, extra)))
+        with pytest.raises(SegmentationError) as err:
+            segment_block(ragged, g)
+        assert err.value.required_padding == g - extra
