@@ -49,7 +49,6 @@ from .errors import (
     ExecutionError,
     InternalConsistencyError,
     InvalidParameterError,
-    SegmentationError,
 )
 from .scheme import (
     BasicScheme,
@@ -64,13 +63,10 @@ from .scheme import (
     measure_storage,
 )
 from .shuffle import (
-    IvaBlock,
     MulticastSignal,
-    Segment,
     build_signals,
     decode_node,
     run_shuffle,
-    segment_block,
 )
 
 __version__ = "0.1.0"

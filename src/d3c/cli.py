@@ -32,6 +32,10 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFICATION = 3
 
+# Most (file, node) pairs an executed sweep may plan, summed over its points;
+# a point at computation load c maps c values per pair on average.
+SWEEP_BUDGET = 2**20
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -330,8 +334,7 @@ def _b(flag: bool) -> str:
 def _cmd_sweep(args) -> int:
     if args.resolution < 2:
         raise InvalidParameterError(f"--resolution must be at least 2, got {args.resolution}")
-    rows = []
-    all_ok = True
+    points = []  # (r, c, predicted L, files the executed plan needs)
     for r in args.r:
         if not 1 <= r < args.K:
             raise InvalidParameterError(f"storage value {r} outside [1, {args.K})")
@@ -343,19 +346,29 @@ def _cmd_sweep(args) -> int:
             c_values = [1 + (r - 1) * Fraction(i, n - 1) for i in range(n)]
         for c in c_values:
             predicted = analytics.query_load(curve, c)
-            measured = ""
-            verified = ""
-            if args.execute:
-                N = composer.minimal_files(args.K, r, c)
-                plan = composer.plan_for_target(args.K, N, r, c)
-                T = composer.safe_iva_bits(plan) if args.T is None else args.T
-                corpus = engine.generate_corpus(N, 64, args.seed)
-                report = engine.execute(plan, corpus, engine.default_suite(T))
-                measured = _sig(report.measured.communication_load)
-                verified = _b(report.verification_passed)
-                all_ok &= report.verification_passed
-                all_ok &= report.measured.communication_load == predicted
-            rows.append([_sig(r), _sig(c), _sig(predicted), measured, verified])
+            N = composer.minimal_files(args.K, r, c) if args.execute else 0
+            points.append((r, c, predicted, N))
+    size = sum(N for *_, N in points) * args.K
+    if size > SWEEP_BUDGET:
+        raise InvalidParameterError(
+            f"the executed sweep needs {size} (file, node) pairs, "
+            f"over the budget of {SWEEP_BUDGET}"
+        )
+    rows = []
+    all_ok = True
+    for r, c, predicted, N in points:
+        measured = ""
+        verified = ""
+        if args.execute:
+            plan = composer.plan_for_target(args.K, N, r, c)
+            T = composer.safe_iva_bits(plan) if args.T is None else args.T
+            corpus = engine.generate_corpus(N, 64, args.seed)
+            report = engine.execute(plan, corpus, engine.default_suite(T))
+            measured = _sig(report.measured.communication_load)
+            verified = _b(report.verification_passed)
+            all_ok &= report.verification_passed
+            all_ok &= report.measured.communication_load == predicted
+        rows.append([_sig(r), _sig(c), _sig(predicted), measured, verified])
     text = _csv(rows, ["r", "c", "predicted_L", "measured_L", "verified"])
     _write_text(args.out, text)
     return EXIT_OK if all_ok else EXIT_VERIFICATION

@@ -53,10 +53,6 @@ class GroupSpec:
     first_file: int = 0
     file_count: int = 0
 
-    @property
-    def file_ids(self) -> range:
-        return range(self.first_file, self.first_file + self.file_count)
-
 
 @dataclass(frozen=True)
 class CompositePlan:
@@ -246,22 +242,3 @@ def safe_iva_bits(plan: CompositePlan) -> int:
         need = math.lcm(need, sp.g // math.gcd(sp.g, eta * 8))
     return 8 * need
 
-
-def plan_to_dict(plan: CompositePlan) -> dict:
-    return {
-        "K": plan.K,
-        "N": plan.N,
-        "target_r": str(plan.target_r),
-        "target_c": str(plan.target_c),
-        "route": plan.route,
-        "groups": [
-            {
-                "fraction": str(sp.fraction),
-                "r": sp.r,
-                "g": sp.g,
-                "file_ids": list(sp.file_ids),
-            }
-            for sp in plan.groups
-        ],
-        "predicted_L": str(plan.predicted_L),
-    }

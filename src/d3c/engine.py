@@ -23,11 +23,7 @@ from typing import IO, Callable, Sequence
 from .analytics import basic_communication, basic_computation
 from .bits import BitString
 from .composer import CompositePlan, safe_iva_bits
-from .errors import (
-    ExecutionError,
-    InternalConsistencyError,
-    InvalidParameterError,
-)
+from .errors import ExecutionError, InvalidParameterError
 from .scheme import (
     BasicScheme,
     LoadReport,
@@ -340,7 +336,6 @@ def execute(
     file_views = {k: _NodeFiles(k, corpus, allowed[k], auditor) for k in nodes}
 
     evaluations = 0
-    planned_evaluations = 0
     total_bits = 0
     overhead_bits = 0
     sent_signals = {k: 0 for k in nodes}
@@ -352,7 +347,6 @@ def execute(
         for k in nodes:
             store = {}
             plan_k = scheme.compute_own[k] + scheme.compute_coded[k]
-            planned_evaluations += len(plan_k)
             view = file_views[k]
             for iva in plan_k:
                 data = view.read(offset + iva.file)
@@ -382,11 +376,6 @@ def execute(
                 raise ExecutionError(f"decode failed at node {k}: {err}") from err
             for local_n, value in values.items():
                 collected[k][offset + local_n] = value
-
-    if evaluations != planned_evaluations:
-        raise InternalConsistencyError(
-            f"performed {evaluations} map evaluations, plan says {planned_evaluations}"
-        )
 
     outputs = []
     for k in nodes:

@@ -20,17 +20,6 @@ class DivisibilityError(D3CError, ValueError):
         self.min_files = min_files
 
 
-class SegmentationError(D3CError, ValueError):
-    """A block cannot be split into equal whole-bit segments.
-
-    ``required_padding`` is the number of bits that would have to be added.
-    """
-
-    def __init__(self, message: str, required_padding: int | None = None):
-        super().__init__(message)
-        self.required_padding = required_padding
-
-
 class DecodeError(D3CError, RuntimeError):
     """A node could not recover a missing segment.
 

@@ -1,10 +1,14 @@
-"""Coded exchange: segmentation, XOR multicast signals, delivery, decoding.
+"""Coded exchange: XOR multicast signals, delivery, decoding.
 
 Every intermediate-value block an absent node needs is split into g equal
-whole-bit segments, one per coding-set member. Each multicast group (i, j)
-yields one signal per sender k in j: the XOR of the sender-owned segments of
-the blocks requested by the other members of j. Receivers cancel the
-segments they computed locally and keep the one they miss.
+whole-bit segments, one per coding-set member in ascending node order. Each
+multicast group (i, j) yields one signal per sender in j: the XOR of the
+sender's segments of the blocks requested by the other members of j.
+
+One rule serves both ends. A receiver decodes by cancelling the known terms:
+it XORs the signal with the same segments the sender XORed, all but its own,
+and what is left is its missing segment. ``_segment`` is the only place a
+block is built and cut, and ``_xor_known`` the only XOR over those terms.
 
 Only payload bits count toward the communication load; simulation metadata
 is tracked separately by the engine.
@@ -18,30 +22,10 @@ from typing import IO, Mapping
 
 from .bits import BitString
 from .combinatorics import BatchIndex, GroupIndex, enum_pi
-from .errors import DecodeError, InternalConsistencyError, SegmentationError
+from .errors import DecodeError, InternalConsistencyError
 from .scheme import BasicScheme, IvaId
 
 IvaStore = Mapping[IvaId, BitString]
-
-
-@dataclass(frozen=True)
-class IvaBlock:
-    """Concatenation of one batch's intermediate values for one target node,
-    in ascending file-id order."""
-
-    batch: BatchIndex
-    target: int
-    payload: BitString
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One owner's share of a block after the g-way equal split."""
-
-    batch: BatchIndex
-    target: int
-    owner: int
-    payload: BitString
 
 
 @dataclass(frozen=True)
@@ -57,55 +41,47 @@ class MulticastSignal:
         return self.payload.length
 
 
-def make_block(computed: IvaStore, batch: BatchIndex, files: tuple[int, ...], target: int) -> IvaBlock:
-    """Assemble a block from a node's computed values; raises KeyError parts."""
-    parts = []
-    for n in files:
-        iva = computed.get(IvaId(target, n))
-        if iva is None:
-            raise KeyError(IvaId(target, n))
-        parts.append(iva)
-    return IvaBlock(batch, target, BitString.join(parts))
-
-
-def segment_block(block: IvaBlock, g: int) -> list[Segment]:
-    """Split a block into g equal segments owned by the coding-set members
-    in ascending node order. Lossless: concatenation restores the block."""
-    length = block.payload.length
-    if g < 1 or len(block.batch.t) != g:
-        raise SegmentationError(
-            f"block {block.batch} has {len(block.batch.t)} owners, cannot split into {g}"
-        )
-    if length % g:
-        pad = g - length % g
-        raise SegmentationError(
-            f"{length} bits do not split into {g} equal whole-bit segments; "
-            f"{pad} padding bits would be required",
-            required_padding=pad,
-        )
-    seg_bits = length // g
-    return [
-        Segment(block.batch, block.target, owner, block.payload.slice(idx * seg_bits, seg_bits))
-        for idx, owner in enumerate(block.batch.t)
-    ]
-
-
-def _owned_segment(
-    computed: IvaStore, scheme: BasicScheme, batch: BatchIndex, target: int, owner: int
+def _segment(
+    computed: IvaStore, scheme: BasicScheme, group: GroupIndex, target: int, owner: int
 ) -> BitString:
-    """The ``owner``-indexed segment of block (batch, target), built locally."""
-    block = make_block(computed, batch, scheme.batches[batch], target)
-    seg_bits = block.payload.length // scheme.params.g
-    idx = batch.t.index(owner)
-    return block.payload.slice(idx * seg_bits, seg_bits)
+    """The ``owner`` segment of the block that ``target`` requests in ``group``.
+
+    The block is the batch (group.i, group.j) minus ``target``, its values for
+    ``target`` joined in ascending file order; raises KeyError naming the
+    first value missing from ``computed``.
+    """
+    batch = BatchIndex(
+        tuple(x for x in group.i if x != target),
+        tuple(x for x in group.j if x != target),
+    )
+    block = BitString.join(computed[IvaId(target, n)] for n in scheme.batches[batch])
+    seg_bits = block.length // scheme.params.g
+    return block.slice(batch.t.index(owner) * seg_bits, seg_bits)
+
+
+def _xor_known(
+    acc: BitString | None,
+    computed: IvaStore,
+    scheme: BasicScheme,
+    group: GroupIndex,
+    owner: int,
+    skip: int | None = None,
+) -> BitString | None:
+    """``acc`` XORed with the ``owner`` segment of the block requested by each
+    member of group.j other than ``owner`` and ``skip``."""
+    for i in group.j:
+        if i != owner and i != skip:
+            seg = _segment(computed, scheme, group, i, owner)
+            acc = seg if acc is None else acc.xor(seg)
+    return acc
 
 
 def build_signals(scheme: BasicScheme, computed: Mapping[int, IvaStore]) -> list[MulticastSignal]:
     """Every multicast signal of the scheme, in group order then sender order.
 
-    Each sender XORs, over the other members i of its group's j-set, its own
-    segment of the block requested by i. All operands are in the sender's
-    planned compute set; a miss indicates a compute-plan bug.
+    Each sender XORs its segments of the blocks requested by the other
+    members of its group's j-set. All operands are in the sender's planned
+    compute set; a miss indicates a compute-plan bug.
     """
     p = scheme.params
     if p.r >= p.K:
@@ -113,23 +89,13 @@ def build_signals(scheme: BasicScheme, computed: Mapping[int, IvaStore]) -> list
     signals = []
     for group in enum_pi(p.K, p.r, p.g):
         for sender in group.j:
-            acc: BitString | None = None
-            for i in group.j:
-                if i == sender:
-                    continue
-                batch = BatchIndex(
-                    tuple(x for x in group.i if x != i),
-                    tuple(x for x in group.j if x != i),
-                )
-                try:
-                    seg = _owned_segment(computed[sender], scheme, batch, i, sender)
-                except KeyError as missing:
-                    raise InternalConsistencyError(
-                        f"node {sender} lacks operand {missing} for group {group}"
-                    ) from None
-                acc = seg if acc is None else acc.xor(seg)
-            assert acc is not None
-            signals.append(MulticastSignal(sender, group, acc))
+            try:
+                payload = _xor_known(None, computed[sender], scheme, group, sender)
+            except KeyError as missing:
+                raise InternalConsistencyError(
+                    f"node {sender} lacks operand {missing} for group {group}"
+                ) from None
+            signals.append(MulticastSignal(sender, group, payload))
     return signals
 
 
@@ -162,9 +128,10 @@ def decode_node(
     """Recover node k's full value set {v_(k,n) : n in [N]}.
 
     Locally computed values cover stored batches. For each missing batch and
-    each coding-set member j, the j-owned segment of k's block is the group
-    signal of j XORed with the segments k already knows; segments reassemble
-    in ascending owner order into the block, which splits back into values.
+    each coding-set member j, the j-owned segment of k's block is j's group
+    signal with the known terms cancelled (``_xor_known`` skipping k);
+    segments reassemble in ascending owner order into the block, which splits
+    back into values.
     """
     p = scheme.params
     result: dict[int, BitString] = {}
@@ -187,23 +154,14 @@ def decode_node(
                     batch=batch,
                     owner=j,
                 )
-            acc = signal.payload
-            for i in batch.t:
-                if i == j:
-                    continue
-                other = BatchIndex(
-                    tuple(x for x in group.i if x != i),
-                    tuple(x for x in group.j if x != i),
-                )
-                try:
-                    acc = acc.xor(_owned_segment(computed_k, scheme, other, i, j))
-                except KeyError:
-                    raise DecodeError(
-                        f"node {k} missing local segment of {other} for target {i}",
-                        batch=batch,
-                        owner=j,
-                    ) from None
-            segments.append(acc)
+            try:
+                segments.append(_xor_known(signal.payload, computed_k, scheme, group, j, skip=k))
+            except KeyError as missing:
+                raise DecodeError(
+                    f"node {k} lacks local operand {missing} for group {group}",
+                    batch=batch,
+                    owner=j,
+                ) from None
         block = BitString.join(segments)  # owners ascend with batch.t order
         for n, iva in zip(scheme.batches[batch], block.chunks(p.T)):
             result[n] = iva

@@ -1,8 +1,10 @@
 """Command-line surface: flags, formats, file outputs, exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
+from d3c import composer
 from d3c.cli import main
 
 
@@ -199,6 +201,33 @@ def test_sweep_execution_fails_on_load_gap(capsys, monkeypatch):
     _, rows = parse_csv(out)
     assert rows[0][3] != rows[0][2]
     assert rows[0][4] == "true"  # decoding still verifies; only the load is off
+
+
+def test_executed_sweep_over_budget_is_refused(capsys):
+    # 1,113,600 files over 40 points at K = 6; it once ran for minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sweep", "--K", "6", "--r", "11/4,13/4", "--execute")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "6681600 (file, node) pairs" in err
+    code, out, _ = run(capsys, "sweep", "--K", "6", "--r", "11/4,13/4")
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 40
+
+
+def test_sweep_budget_refuses_only_above_it(capsys, monkeypatch):
+    import d3c.cli
+
+    argv = ("sweep", "--K", "4", "--r", "2.5", "--c", "1,5/4", "--execute")
+    size = 4 * sum(composer.minimal_files(4, Fraction(5, 2), c) for c in (1, Fraction(5, 4)))
+    monkeypatch.setattr(d3c.cli, "SWEEP_BUDGET", size - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"needs {size} (file, node) pairs, over the budget of {size - 1}" in err
+    monkeypatch.setattr(d3c.cli, "SWEEP_BUDGET", size)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 2
 
 
 def test_zero_value_size_is_rejected(capsys):

@@ -12,7 +12,6 @@ from d3c.composer import (
     group_divisor,
     minimal_files,
     plan_for_target,
-    plan_to_dict,
     safe_iva_bits,
     split_e1,
     split_e2,
@@ -197,16 +196,16 @@ def test_plan_for_golden_example():
     assert plan.route == "corner"
     assert groups_as_tuples(plan.groups) == [(Fraction(1), 2, 2)]
     assert plan.predicted_L == Fraction(1, 6)
-    assert plan.groups[0].file_count == 6
-    assert list(plan.groups[0].file_ids) == [1, 2, 3, 4, 5, 6]
+    assert (plan.groups[0].first_file, plan.groups[0].file_count) == (1, 6)
 
 
 def test_plan_groups_tile_the_corpus():
     plan = plan_for_target(10, 55440, "4.5", "1.8")
-    seen = []
-    for sp in plan.groups:
-        seen.extend(sp.file_ids)
-    assert sorted(seen) == list(range(1, 55441))
+    next_file = 1
+    for sp in sorted(plan.groups, key=lambda sp: sp.first_file):
+        assert sp.first_file == next_file and sp.file_count > 0
+        next_file += sp.file_count
+    assert next_file == 55441
 
 
 def test_clamp_region_keeps_saturation_computation():
@@ -243,15 +242,6 @@ def test_plan_rejects_bad_targets():
         plan_for_target(10, 5040, "4.5", 5)  # c above r
     with pytest.raises(InvalidParameterError):
         plan_for_target(10, 5040, 10, 2)  # r not below K
-
-
-def test_plan_serialization_schema():
-    plan = plan_for_target(3, 6, 2, "4/3")
-    doc = plan_to_dict(plan)
-    assert doc["K"] == 3 and doc["N"] == 6
-    assert doc["target_r"] == "2" and doc["target_c"] == "4/3"
-    assert doc["predicted_L"] == "1/6"
-    assert doc["groups"] == [{"fraction": "1", "r": 2, "g": 2, "file_ids": [1, 2, 3, 4, 5, 6]}]
 
 
 def test_safe_iva_bits_meets_segment_divisibility():

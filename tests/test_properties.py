@@ -1,5 +1,5 @@
 """Properties over generated inputs: executed plans, CLI argv, bit strings
-and block segmentation.
+and decoding of the coded exchange.
 
 Every (K, r, c) target on the grid below is planned at its smallest
 admissible corpus and executed; the measured loads must equal the curve and
@@ -7,21 +7,22 @@ the closed-form prediction exactly, whatever route the planner takes.
 """
 
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from random import Random
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d3c.analytics import build_curve, query_load
 from d3c.bits import BitString
 from d3c.cli import main
-from d3c.combinatorics import BatchIndex
+from d3c.combinatorics import binomial
 from d3c.composer import minimal_files, plan_for_target, safe_iva_bits
 from d3c.engine import default_suite, execute, generate_corpus
-from d3c.errors import SegmentationError
-from d3c.shuffle import IvaBlock, segment_block
+from d3c.scheme import IvaId, build_basic_scheme, make_params
+from d3c.shuffle import decode_node, run_shuffle
 
 MAX_FILES = 3000  # bounds the run time of one example
 
@@ -128,7 +129,7 @@ def test_cli_always_ends_in_an_exit_code(argv):
     assert code in {0, 1, 2, 3}
 
 
-# ------------------------------------------------------ bit strings, segments
+# ---------------------------------------------------- bit strings, decoding
 
 @st.composite
 def bit_strings(draw, length=st.integers(0, 80)):
@@ -152,18 +153,38 @@ def test_bit_string_round_trips(x, data):
         assert BitString.join(x.chunks(width)) == x
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.integers(1, 6), st.integers(0, 24), st.data())
-def test_segment_block_is_lossless(g, seg_bits, data):
-    batch = BatchIndex(tuple(range(1, g + 2)), tuple(range(2, g + 2)))
-    block = IvaBlock(batch, 1, data.draw(bit_strings(st.just(g * seg_bits))))
-    segments = segment_block(block, g)
-    assert [s.owner for s in segments] == list(batch.t)
-    assert all(s.payload.length == seg_bits for s in segments)
-    assert BitString.join(s.payload for s in segments) == block.payload
-    extra = data.draw(st.integers(0, g - 1))
-    if extra:
-        ragged = IvaBlock(batch, 1, block.payload.concat(BitString(0, extra)))
-        with pytest.raises(SegmentationError) as err:
-            segment_block(ragged, g)
-        assert err.value.required_padding == g - extra
+@st.composite
+def exchanges(draw):
+    """(K, r, g, eta, T, seed): K <= 5, every 1 <= g <= r <= K, eta <= 3 and
+    T a multiple of g / gcd(g, eta), so g divides eta * T."""
+    K = draw(st.integers(2, 5))
+    r = draw(st.integers(1, K))
+    g = draw(st.integers(1, r))
+    eta = draw(st.integers(1, 3))
+    step = g // math.gcd(g, eta)
+    T = step * draw(st.integers(1, 24 // step))
+    return K, r, g, eta, T, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(exchanges())
+@example((4, 3, 3, 2, 3, 0))  # 2-bit segments of 3-bit values straddle value edges
+@example((5, 4, 4, 3, 4, 1))  # 3-bit segments of 4-bit values
+def test_decode_recovers_every_value(case):
+    K, r, g, eta, T, seed = case
+    N = eta * binomial(K, r) * binomial(r, g)
+    scheme = build_basic_scheme(make_params(K, N, r, g, T=T))
+    rng = Random(seed)
+    table = {
+        IvaId(q, n): BitString(rng.getrandbits(T), T)
+        for q in range(1, K + 1)
+        for n in range(1, N + 1)
+    }
+    computed = {
+        k: {iva: table[iva] for iva in scheme.compute_own[k] + scheme.compute_coded[k]}
+        for k in scheme.storage
+    }
+    delivered, _ = run_shuffle(scheme, computed)
+    for k in scheme.storage:
+        values = decode_node(k, scheme, computed[k], delivered[k])
+        assert values == {n: table[IvaId(k, n)] for n in range(1, N + 1)}, k

@@ -1,4 +1,4 @@
-"""Coded exchange: segmentation, signal structure, and bit-exact decoding.
+"""Coded exchange: segment cuts, signal structure, and bit-exact decoding.
 
 The decodability oracle computes every intermediate value directly from the
 value table and compares the decoded results bit for bit; it never touches
@@ -11,15 +11,12 @@ import pytest
 
 from d3c.bits import BitString
 from d3c.combinatorics import BatchIndex, binomial, enum_pi
-from d3c.errors import DecodeError, InternalConsistencyError, SegmentationError
+from d3c.errors import DecodeError, InternalConsistencyError, InvalidParameterError
 from d3c.scheme import IvaId, build_basic_scheme, build_cdc_scheme, make_params
 from d3c.shuffle import (
-    IvaBlock,
     build_signals,
     decode_node,
-    make_block,
     run_shuffle,
-    segment_block,
     signal_trace_records,
 )
 
@@ -51,40 +48,56 @@ def minimal_scheme(K, r, g, *, eta=1, T=None):
     return build_basic_scheme(make_params(K, N, r, g, F=16, T=T))
 
 
+def sparse_stores(scheme, values):
+    """Per-node planned compute sets holding ``values`` and zero elsewhere."""
+    T = scheme.params.T
+    return {
+        k: {
+            iva: BitString(values.get(iva, 0), T)
+            for iva in scheme.compute_own[k] + scheme.compute_coded[k]
+        }
+        for k in scheme.storage
+    }
+
+
+def payloads(scheme, computed):
+    return {s.sender: s.payload for s in build_signals(scheme, computed)}
+
+
 def test_segment_halving():
-    batch = BatchIndex((1, 2), (1, 2))
-    block = IvaBlock(batch, 3, BitString(0xBEEF, 16))
-    segments = segment_block(block, 2)
-    assert [s.owner for s in segments] == [1, 2]
-    assert segments[0].payload == BitString(0xBE, 8)
-    assert segments[1].payload == BitString(0xEF, 8)
-    assert BitString.join([s.payload for s in segments]) == block.payload
+    # one 16-bit block, (s, t) = (1 2, 1 2), requested by node 3: node 1
+    # sends its upper half and node 2 its lower half, in ascending owner order
+    scheme = build_basic_scheme(make_params(3, 3, 2, 2, T=16))
+    assert scheme.batches[((1, 2), (1, 2))] == (1,)
+    sent = payloads(scheme, sparse_stores(scheme, {IvaId(3, 1): 0xBEEF}))
+    assert sent == {1: BitString(0xBE, 8), 2: BitString(0xEF, 8), 3: BitString(0, 8)}
+    assert sent[1].concat(sent[2]) == BitString(0xBEEF, 16)
 
 
 def test_segment_identity_split():
-    batch = BatchIndex((2,), (2,))
-    block = IvaBlock(batch, 1, BitString(0b101, 3))
-    (only,) = segment_block(block, 1)
-    assert only.owner == 2
-    assert only.payload == block.payload
+    # g = 1: the only owner, node 1, sends the whole 3-bit block that node 3
+    # requests from batch (1 2, 1)
+    scheme = build_basic_scheme(make_params(3, 6, 2, 1, T=3))
+    assert scheme.batches[((1, 2), (1,))] == (1,)
+    signals = build_signals(scheme, sparse_stores(scheme, {IvaId(3, 1): 0b101}))
+    sent = {(s.sender, s.group.j): s.payload for s in signals}
+    assert sent.pop((1, (1, 3))) == BitString(0b101, 3)
+    assert set(sent.values()) == {BitString(0, 3)}
 
 
 def test_segment_four_way_bit_split():
     # two 8-bit values concatenated, split four ways: 4 bits each
-    batch = BatchIndex((1, 2, 3, 4), (1, 2, 3, 4))
-    payload = BitString.join([BitString(0xAB, 8), BitString(0xCD, 8)])
-    block = IvaBlock(batch, 5, payload)
-    segments = segment_block(block, 4)
-    assert [s.payload.value for s in segments] == [0xA, 0xB, 0xC, 0xD]
-    assert BitString.join([s.payload for s in segments]) == payload
+    scheme = build_basic_scheme(make_params(5, 10, 4, 4, T=8))
+    assert scheme.batches[((1, 2, 3, 4), (1, 2, 3, 4))] == (1, 2)
+    sent = payloads(scheme, sparse_stores(scheme, {IvaId(5, 1): 0xAB, IvaId(5, 2): 0xCD}))
+    assert [sent[k] for k in (1, 2, 3, 4)] == [BitString(v, 4) for v in (0xA, 0xB, 0xC, 0xD)]
+    assert sent[5] == BitString(0, 4)
 
 
-def test_segment_reports_required_padding():
-    batch = BatchIndex((1, 2, 3), (1, 2, 3))
-    block = IvaBlock(batch, 4, BitString(0x3FF, 10))
-    with pytest.raises(SegmentationError) as err:
-        segment_block(block, 3)
-    assert err.value.required_padding == 2
+def test_segment_padding_case_is_rejected():
+    # a 10-bit block cannot split three ways; the scheme is never built
+    with pytest.raises(InvalidParameterError, match="g=3 must divide eta\\*T = 1\\*10"):
+        make_params(4, 4, 3, 3, T=10)
 
 
 def test_signal_counts_golden_cases():
@@ -201,8 +214,8 @@ def test_decode_forwarding_when_g_is_one():
             tuple(x for x in s.group.i if x != receiver),
             tuple(x for x in s.group.j if x != receiver),
         )
-        block = make_block(computed[s.sender], batch, scheme.batches[batch], receiver)
-        assert s.payload == block.payload
+        block = BitString.join(computed[s.sender][IvaId(receiver, n)] for n in scheme.batches[batch])
+        assert s.payload == block
 
 
 def test_decode_nothing_missing_at_full_storage():
@@ -229,6 +242,19 @@ def test_missing_signal_is_a_decode_error():
     computed, _ = computed_stores(scheme)
     delivered, _ = run_shuffle(scheme, computed)
     delivered[1].clear()
+    with pytest.raises(DecodeError) as err:
+        decode_node(1, scheme, computed[1], delivered[1])
+    assert err.value.batch == ((2, 3), (2, 3))
+    assert err.value.owner == 2
+
+
+def test_missing_local_operand_is_a_decode_error():
+    # node 1 cancels node 2's signal with its own copy of v(3, 2): owner 2's
+    # half of the block node 3 requests from batch (1 2, 1 2)
+    scheme = build_basic_scheme(make_params(3, 6, 2, 2, T=8))
+    computed, _ = computed_stores(scheme)
+    delivered, _ = run_shuffle(scheme, computed)
+    del computed[1][IvaId(3, 2)]
     with pytest.raises(DecodeError) as err:
         decode_node(1, scheme, computed[1], delivered[1])
     assert err.value.batch == ((2, 3), (2, 3))
