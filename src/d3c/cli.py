@@ -32,9 +32,9 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFICATION = 3
 
-# Most (file, node) pairs an executed sweep may plan, summed over its points;
-# a point at computation load c maps c values per pair on average.
-SWEEP_BUDGET = 2**20
+# Most (file, node) pairs one request may build, summed over its schemes; a
+# scheme at computation load c maps c values per pair on average.
+SIZE_BUDGET = 2**20
 
 
 def _fraction(text: str) -> Fraction:
@@ -208,6 +208,22 @@ def _cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
+def _check_size(args, files: int | None = None) -> None:
+    """Refuse, from counts alone, a request over SIZE_BUDGET (file, node)
+    pairs: N*K per scheme, a sweep's plan files as N, and K at least 1, since
+    compare builds its corpus before any scheme rejects K < 2."""
+    if args.command == "verify":
+        pairs = sum(N * K for K, _, _, N in _verify_grid(args.K))
+    else:
+        schemes = len(args.g) + args.cdc if args.command == "compare" else 1
+        pairs = schemes * (args.N if files is None else files) * max(args.K, 1)
+    if pairs > SIZE_BUDGET:
+        raise InvalidParameterError(
+            f"this {args.command} needs {pairs} (file, node) pairs, "
+            f"over the budget of {SIZE_BUDGET}"
+        )
+
+
 def _basic_scheme(args, r: int) -> BasicScheme:
     """The --cdc baseline or the --g coded scheme at integer storage r; --T
     defaults to default_iva_bits(r)."""
@@ -229,6 +245,7 @@ def _resolve_simulate_plan(args):
         raise InvalidParameterError("give exactly one of --c or --g")
     elif args.g is not None and args.r.denominator != 1:
         raise InvalidParameterError("--g requires integer --r")
+    _check_size(args)
     if args.cdc or args.g is not None:
         scheme = _basic_scheme(args, int(args.r))
         return scheme, scheme.params.T
@@ -252,6 +269,7 @@ def _cmd_compare(args) -> int:
         configs.append(("cdc", args.r))
     if not configs:
         raise InvalidParameterError("nothing to compare: give --g and/or --cdc")
+    _check_size(args)
     rows = engine.compare_schemes(
         configs, args.K, args.N, T=args.T, B=args.B, seed=args.seed
     )
@@ -297,27 +315,32 @@ def _cmd_compare(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
+def _verify_grid(K_max: int):
+    """Every (K, r, g, N) that verify checks, N the scheme's smallest file count."""
+    for K in range(2, K_max + 1):
+        for r in range(1, K):
+            for g in range(1, r + 1):
+                yield K, r, g, composer.group_divisor(K, r, g)
+
+
 def _cmd_verify(args) -> int:
     if args.K < 2:
         raise InvalidParameterError("need --K >= 2")
+    _check_size(args)
     rows = []
     all_ok = True
-    for K in range(2, args.K + 1):
-        for r in range(1, K):
-            for g in range(1, r + 1):
-                N = composer.group_divisor(K, r, g)
-                T = 4 * g
-                params = SchemeParams(K=K, N=N, F=16, T=T, r=r, g=g)
-                scheme = build_basic_scheme(params)
-                corpus = engine.generate_corpus(N, 16, args.seed)
-                report = engine.execute(scheme, corpus, engine.default_suite(T))
-                measured, predicted = report.measured, report.predicted
-                c_ok = measured.computation_load == predicted["computation_load"]
-                l_ok = measured.communication_load == predicted["communication_load"]
-                d_ok = report.verification_passed
-                ok = c_ok and l_ok and d_ok
-                all_ok &= ok
-                rows.append([K, r, g, N, _b(c_ok), _b(l_ok), _b(d_ok), _b(ok)])
+    for K, r, g, N in _verify_grid(args.K):
+        T = 4 * g
+        scheme = build_basic_scheme(SchemeParams(K=K, N=N, F=16, T=T, r=r, g=g))
+        corpus = engine.generate_corpus(N, 16, args.seed)
+        report = engine.execute(scheme, corpus, engine.default_suite(T))
+        measured, predicted = report.measured, report.predicted
+        c_ok = measured.computation_load == predicted["computation_load"]
+        l_ok = measured.communication_load == predicted["communication_load"]
+        d_ok = report.verification_passed
+        ok = c_ok and l_ok and d_ok
+        all_ok &= ok
+        rows.append([K, r, g, N, _b(c_ok), _b(l_ok), _b(d_ok), _b(ok)])
     header = ["K", "r", "g", "N", "computation_ok", "communication_ok", "decode_ok", "pass"]
     if (args.format or "csv") == "json":
         text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
@@ -348,12 +371,7 @@ def _cmd_sweep(args) -> int:
             predicted = analytics.query_load(curve, c)
             N = composer.minimal_files(args.K, r, c) if args.execute else 0
             points.append((r, c, predicted, N))
-    size = sum(N for *_, N in points) * args.K
-    if size > SWEEP_BUDGET:
-        raise InvalidParameterError(
-            f"the executed sweep needs {size} (file, node) pairs, "
-            f"over the budget of {SWEEP_BUDGET}"
-        )
+    _check_size(args, files=sum(N for *_, N in points))
     rows = []
     all_ok = True
     for r, c, predicted, N in points:
@@ -379,6 +397,7 @@ def _cmd_inspect(args) -> int:
         raise InvalidParameterError("--cdc does not take --g")
     if not args.cdc and args.g is None:
         raise InvalidParameterError("give --g for the coded scheme or --cdc")
+    _check_size(args)
     _write_text(args.out, scheme_to_json(_basic_scheme(args, args.r)) + "\n")
     return EXIT_OK
 

@@ -36,15 +36,6 @@ class GroupIndex(NamedTuple):
     j: NodeSet
 
 
-def validate_node_set(members: NodeSet, universe: int) -> None:
-    """Check strictly increasing 1-based members bounded by ``universe``."""
-    for pos, m in enumerate(members):
-        if m < 1 or m > universe:
-            raise InvalidParameterError(f"node id {m} outside [1, {universe}]")
-        if pos and members[pos - 1] >= m:
-            raise InvalidParameterError(f"members not strictly increasing: {members}")
-
-
 def binomial(n: int, k: int) -> int:
     """C(n, k); zero when k > n. Raises OverflowError past the 64-bit range."""
     if n < 0 or k < 0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import IO, Callable, Sequence
@@ -26,6 +26,7 @@ from .composer import CompositePlan, safe_iva_bits
 from .errors import ExecutionError, InvalidParameterError
 from .scheme import (
     BasicScheme,
+    IvaId,
     LoadReport,
     SchemeParams,
     build_basic_scheme,
@@ -158,16 +159,18 @@ class _NodeFiles:
         return self.corpus.files[file_id - 1]
 
 
-class _NodeSignals(dict):
-    """Per-node delivered-signal store that audits every lookup."""
+class _NodeSignals:
+    """Per-node view of the delivered signals that audits every lookup."""
+
+    __slots__ = ("node", "delivered", "auditor")
 
     def __init__(self, node: int, delivered: dict, auditor: _Auditor):
-        super().__init__(delivered)
         self.node = node
+        self.delivered = delivered
         self.auditor = auditor
 
     def get(self, key, default=None):
-        found = super().get(key, default)
+        found = self.delivered.get(key, default)
         self.auditor.signal_access(self.node, key, found is not None)
         return found
 
@@ -211,22 +214,8 @@ class ExecutionReport:
             "seed": self.seed,
             "plan": self.plan,
             "measured": self.measured.to_dict(),
-            "predicted": {
-                name: {"exact": str(value), "value": float(value)}
-                for name, value in self.predicted.items()
-            },
-            "per_node": [
-                {
-                    "node": s.node,
-                    "stored_files": s.stored_files,
-                    "computed_values": s.computed_values,
-                    "sent_signals": s.sent_signals,
-                    "sent_bits": s.sent_bits,
-                    "received_signals": s.received_signals,
-                    "received_bits": s.received_bits,
-                }
-                for s in self.per_node
-            ],
+            "predicted": LoadReport(**self.predicted).to_dict(),
+            "per_node": [asdict(s) for s in self.per_node],
             "outputs": list(self.outputs),
             "verification": {
                 "passed": self.verification_passed,
@@ -335,24 +324,24 @@ def execute(
             allowed[k].update(offset + n for n in scheme.storage[k])
     file_views = {k: _NodeFiles(k, corpus, allowed[k], auditor) for k in nodes}
 
-    evaluations = 0
     total_bits = 0
     overhead_bits = 0
+    computed_values = {k: 0 for k in nodes}
     sent_signals = {k: 0 for k in nodes}
     sent_bits = {k: 0 for k in nodes}
     collected: dict[int, dict[int, BitString]] = {k: {} for k in nodes}
 
     for scheme, offset in groups:
-        computed: dict[int, dict] = {}
+        computed: dict[int, dict[IvaId, BitString]] = {k: {} for k in nodes}
+        for batch, files in scheme.batches.items():
+            for k in batch.s:
+                store, view = computed[k], file_views[k]
+                for q in scheme.targets(k, batch):
+                    for n in files:
+                        data = view.read(offset + n)
+                        store[IvaId(q, n)] = suite.map_fn(q, offset + n, data)
         for k in nodes:
-            store = {}
-            plan_k = scheme.compute_own[k] + scheme.compute_coded[k]
-            view = file_views[k]
-            for iva in plan_k:
-                data = view.read(offset + iva.file)
-                store[iva] = suite.map_fn(iva.target, offset + iva.file, data)
-                evaluations += 1
-            computed[k] = store
+            computed_values[k] += len(computed[k])
 
         delivered, bits = run_shuffle(scheme, computed)
         total_bits += bits
@@ -396,7 +385,7 @@ def execute(
     stored_total = sum(len(allowed[k]) for k in nodes)
     measured = LoadReport(
         storage_space=Fraction(stored_total, N_total),
-        computation_load=Fraction(evaluations, N_total * K),
+        computation_load=Fraction(sum(computed_values.values()), N_total * K),
         communication_load=Fraction(total_bits, N_total * K * T),
     )
     # every signal is broadcast to the other K - 1 nodes, so each node
@@ -406,9 +395,7 @@ def execute(
         PerNodeStats(
             node=k,
             stored_files=len(allowed[k]),
-            computed_values=sum(
-                len(s.compute_own[k]) + len(s.compute_coded[k]) for s, _ in groups
-            ),
+            computed_values=computed_values[k],
             sent_signals=sent_signals[k],
             sent_bits=sent_bits[k],
             received_signals=all_sent - sent_signals[k],

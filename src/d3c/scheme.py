@@ -1,14 +1,13 @@
 """Construction of basic coded-computing schemes and their load accounting.
 
 A basic scheme with parameters (K, N, r, g) partitions the N files into
-batches indexed by (s, t) pairs, stores each batch at the nodes in s, and
-plans two kinds of map work per node k: ``compute_own`` (intermediate values
-for k's own reduce function, from stored files) and ``compute_coded``
-(intermediate values k must contribute to coded multicasts, i.e. values for
-targets outside s over batches where k sits in t).
-
-The CDC baseline keeps the same placement at g = r but computes every
-intermediate value derivable from stored files, so its computation load is r.
+batches indexed by (s, t) pairs and stores each batch at the nodes in s.
+One compute rule, ``BasicScheme.targets``, says which functions a node maps
+on a batch it stores. D3C maps the node's own function k, plus every
+function q outside s when k sits in t (the values k contributes to coded
+multicasts). The CDC baseline keeps the same placement at g = r but maps
+every function on every stored batch, so its computation load is r.
+``compute_own`` and ``compute_coded`` are views derived from that rule.
 
 All loads are exact rationals; the identities they satisfy are exact, so
 tests compare with zero tolerance.
@@ -18,8 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .combinatorics import BatchIndex, batch_size, binomial, enum_omega
@@ -93,24 +93,49 @@ def make_params(
 
 @dataclass(frozen=True)
 class BasicScheme:
-    """A fully materialized placement and compute plan.
+    """A placement plus one compute rule.
 
-    ``batches`` maps each batch index to its file ids; ``storage`` holds each
-    node's stored file set M_k; ``compute_own`` and ``compute_coded`` hold the
-    disjoint planned map work per node, as sorted tuples for cheap equality.
-    ``kind`` distinguishes the coded plan ("d3c") from the baseline ("cdc").
+    ``batches`` maps each batch index (s, t) to its file ids; ``storage``
+    holds each node's stored file set M_k. ``kind`` names the rule that
+    ``targets`` applies on each stored batch: "d3c" maps node k's own
+    function, and every function outside s when k is in t; "cdc" maps every
+    function. ``compute_own`` and ``compute_coded`` are views derived from
+    the rule: the values of k's own function and of the others, as sorted
+    IvaId tuples.
     """
 
     params: SchemeParams
     batches: dict[BatchIndex, tuple[int, ...]]
     storage: dict[int, tuple[int, ...]]
-    compute_own: dict[int, tuple[IvaId, ...]]
-    compute_coded: dict[int, tuple[IvaId, ...]]
-    kind: str = field(default="d3c")
+    kind: str = "d3c"
 
-    def compute_set(self, k: int) -> set[IvaId]:
-        """All intermediate values node k computes in the map phase."""
-        return set(self.compute_own[k]) | set(self.compute_coded[k])
+    def targets(self, k: int, batch: BatchIndex) -> tuple[int, ...]:
+        """Functions node k maps on every file of a batch it stores."""
+        nodes = range(1, self.params.K + 1)
+        if self.kind == "cdc":
+            return tuple(nodes)
+        if k not in batch.t:
+            return (k,)
+        return (k, *(q for q in nodes if q not in batch.s))
+
+    @cached_property
+    def compute_own(self) -> dict[int, tuple[IvaId, ...]]:
+        return self._planned(own=True)
+
+    @cached_property
+    def compute_coded(self) -> dict[int, tuple[IvaId, ...]]:
+        return self._planned(own=False)
+
+    def _planned(self, own: bool) -> dict[int, tuple[IvaId, ...]]:
+        return {
+            k: tuple(sorted(
+                IvaId(q, n)
+                for batch, files in self.batches.items() if k in batch.s
+                for q in self.targets(k, batch) if (q == k) == own
+                for n in files
+            ))
+            for k in self.storage
+        }
 
     def missing_batches(self, k: int) -> list[BatchIndex]:
         """Batches whose own-target values node k must learn in the shuffle."""
@@ -136,37 +161,15 @@ def _placement(params: SchemeParams) -> tuple[dict, dict]:
 
 
 def build_basic_scheme(params: SchemeParams) -> BasicScheme:
-    """Build the coded scheme: placement plus the two-part compute plan."""
-    batches, storage = _placement(params)
-    all_nodes = range(1, params.K + 1)
-    compute_own = {}
-    compute_coded = {}
-    for k in all_nodes:
-        own = [IvaId(k, n) for n in storage[k]]
-        coded = []
-        for index, files in batches.items():
-            if k in index.t:
-                for q in all_nodes:
-                    if q not in index.s:
-                        coded.extend(IvaId(q, n) for n in files)
-        compute_own[k] = tuple(sorted(own))
-        compute_coded[k] = tuple(sorted(coded))
-    return BasicScheme(params, batches, storage, compute_own, compute_coded, kind="d3c")
+    """The coded scheme: its placement, computed under the d3c rule."""
+    return BasicScheme(params, *_placement(params))
 
 
 def build_cdc_scheme(K: int, N: int, r: int, *, F: int = 64, T: int | None = None) -> BasicScheme:
-    """Baseline scheme: same placement as g = r, but every node computes the
-    intermediate values of all targets from all its stored files (load r)."""
+    """Baseline scheme: the placement of g = r, but every node maps every
+    function on every file it stores (load r)."""
     params = make_params(K, N, r, r, F=F, T=T)
-    batches, storage = _placement(params)
-    compute_own = {}
-    compute_coded = {}
-    for k in range(1, K + 1):
-        compute_own[k] = tuple(sorted(IvaId(k, n) for n in storage[k]))
-        compute_coded[k] = tuple(
-            sorted(IvaId(q, n) for q in range(1, K + 1) if q != k for n in storage[k])
-        )
-    return BasicScheme(params, batches, storage, compute_own, compute_coded, kind="cdc")
+    return BasicScheme(params, *_placement(params), kind="cdc")
 
 
 def measure_storage(scheme: BasicScheme) -> Fraction:
@@ -178,8 +181,9 @@ def measure_storage(scheme: BasicScheme) -> Fraction:
 def measure_computation(scheme: BasicScheme) -> Fraction:
     """Total planned map evaluations over N*K."""
     total = sum(
-        len(scheme.compute_own[k]) + len(scheme.compute_coded[k])
-        for k in scheme.storage
+        len(files) * len(scheme.targets(k, batch))
+        for batch, files in scheme.batches.items()
+        for k in batch.s
     )
     return Fraction(total, scheme.params.N * scheme.params.K)
 
@@ -193,14 +197,7 @@ class LoadReport:
     communication_load: Fraction
 
     def to_dict(self) -> dict:
-        return {
-            name: {"exact": str(value), "value": float(value)}
-            for name, value in (
-                ("storage_space", self.storage_space),
-                ("computation_load", self.computation_load),
-                ("communication_load", self.communication_load),
-            )
-        }
+        return {name: {"exact": str(v), "value": float(v)} for name, v in vars(self).items()}
 
 
 def scheme_to_dict(scheme: BasicScheme) -> dict:

@@ -1,6 +1,7 @@
 """Command-line surface: flags, formats, file outputs, exit codes."""
 
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -220,14 +221,56 @@ def test_sweep_budget_refuses_only_above_it(capsys, monkeypatch):
 
     argv = ("sweep", "--K", "4", "--r", "2.5", "--c", "1,5/4", "--execute")
     size = 4 * sum(composer.minimal_files(4, Fraction(5, 2), c) for c in (1, Fraction(5, 4)))
-    monkeypatch.setattr(d3c.cli, "SWEEP_BUDGET", size - 1)
+    monkeypatch.setattr(d3c.cli, "SIZE_BUDGET", size - 1)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert f"needs {size} (file, node) pairs, over the budget of {size - 1}" in err
-    monkeypatch.setattr(d3c.cli, "SWEEP_BUDGET", size)
+    monkeypatch.setattr(d3c.cli, "SIZE_BUDGET", size)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert len(parse_csv(out)[1]) == 2
+
+
+def test_requests_over_budget_are_refused_from_counts(capsys):
+    # verify --K 16 would build 996,904,236 (file, node) pairs over its
+    # schemes and 10^7 files at K = 10 are 10^8 pairs; compare builds its
+    # corpus before any scheme rejects K = 0, so K counts as at least 1
+    for argv, pairs in (
+        (("verify", "--K", "16"), 996904236),
+        (("simulate", "--K", "10", "--N", "10000000", "--r", "2", "--g", "1"), 10**8),
+        (("compare", "--K", "0", "--N", str(2**21), "--r", "1", "--g", "1"), 2**21),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert f"needs {pairs} (file, node) pairs" in err
+
+
+def test_size_budget_refuses_only_above_it(capsys, monkeypatch):
+    import d3c.cli
+
+    small = ("--K", "3", "--N", "6", "--r", "2", "--T", "8")
+    verify_pairs = sum(
+        math.comb(K, r) * math.comb(r, g) * K
+        for K in (2, 3)
+        for r in range(1, K)
+        for g in range(1, r + 1)
+    )
+    for argv, pairs in (
+        (("verify", "--K", "3"), verify_pairs),
+        (("simulate", *small, "--g", "2"), 18),
+        (("simulate", *small, "--c", "4/3"), 18),
+        (("compare", *small, "--g", "1,2", "--cdc"), 3 * 18),
+        (("inspect", *small, "--cdc"), 18),
+    ):
+        monkeypatch.setattr(d3c.cli, "SIZE_BUDGET", pairs - 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"needs {pairs} (file, node) pairs, over the budget of {pairs - 1}" in err
+        monkeypatch.setattr(d3c.cli, "SIZE_BUDGET", pairs)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out, argv
 
 
 def test_zero_value_size_is_rejected(capsys):

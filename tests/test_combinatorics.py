@@ -13,7 +13,6 @@ from d3c.combinatorics import (
     enum_omega,
     enum_pi,
     enum_subsets,
-    validate_node_set,
 )
 from d3c.errors import DivisibilityError, InvalidParameterError
 
@@ -115,8 +114,9 @@ def test_enum_omega_counts_and_invariants():
                 for b in entries:
                     assert set(b.t) <= set(b.s)
                     assert len(b.s) == r and len(b.t) == g
-                    validate_node_set(b.s, K)
-                    validate_node_set(b.t, K)
+                    for members in (b.s, b.t):
+                        assert all(1 <= m <= K for m in members)
+                        assert all(x < y for x, y in zip(members, members[1:]))
                 assert entries == enum_omega(K, r, g)  # deterministic
 
 
@@ -165,12 +165,3 @@ def test_batch_size_reports_smallest_admissible_count():
         batch_size(7, 3, 2, 1)
     assert err.value.min_files == 6
 
-
-def test_validate_node_set():
-    validate_node_set((1, 3, 4), 4)
-    with pytest.raises(InvalidParameterError):
-        validate_node_set((0, 1), 4)
-    with pytest.raises(InvalidParameterError):
-        validate_node_set((2, 2), 4)
-    with pytest.raises(InvalidParameterError):
-        validate_node_set((1, 5), 4)

@@ -128,6 +128,16 @@ def test_per_node_stats_consistency():
         assert stats.received_signals == 2
         assert stats.received_bits == 16
     assert report.overhead_bits == 3 * 2 * 7  # 3 signals, 2-bit ids, 7 slots
+    for scheme in (
+        build_basic_scheme(make_params(4, 24, 2, 1, T=8)),
+        build_cdc_scheme(4, 6, 2, T=8),
+    ):
+        report = execute(scheme, generate_corpus(scheme.params.N, 64, 0), default_suite(8))
+        for stats in report.per_node:
+            k = stats.node
+            assert stats.computed_values == len(scheme.compute_own[k]) + len(
+                scheme.compute_coded[k]
+            )
 
 
 def test_seed_stability_and_sensitivity():

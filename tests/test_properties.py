@@ -89,11 +89,15 @@ def cli_argv(draw):
     command = draw(st.sampled_from(["tradeoff", "simulate", "compare", "verify", "sweep", "inspect"]))
     execute = command == "sweep" and draw(st.booleans())
     # an executed sweep at K <= 3 plans at most 456 files per point, and
-    # verify checks every scheme up to its --K
+    # verify checks every scheme up to its --K; counts past the size budget
+    # (verify from --K 11 on, N * K over 2^20) are refused before any build
     top = 3 if execute else 4 if command == "verify" else 6
-    argv = [command, "--K", str(draw(st.integers(-1, top)))]
+    nodes = st.integers(-1, top)
+    if command == "verify":
+        nodes = st.one_of(nodes, st.integers(11, 10**6))
+    argv = [command, "--K", str(draw(nodes))]
     if command in ("simulate", "compare", "inspect"):
-        argv += ["--N", str(draw(st.integers(-1, 120)))]
+        argv += ["--N", str(draw(st.one_of(st.integers(-1, 120), st.integers(2**20 + 1, 2**40))))]
     if command == "tradeoff":
         argv += draw(st.one_of(_flag("r", rationals), st.just(["--cstar-sweep"])))
         argv += draw(_flag("resolution", small_ints))

@@ -117,21 +117,31 @@ def test_batches_partition_the_corpus():
 
 
 def test_placement_rule_and_computability():
-    for K, r, g in all_small_parameter_tuples(5):
-        scheme = minimal_scheme(K, r, g)
+    """Each compute list equals the rule, built here from its definition: on
+    each stored batch (s, t), d3c maps k's own function, plus every q outside
+    s when k is in t; cdc maps every function."""
+    schemes = [minimal_scheme(K, r, g) for K, r, g in all_small_parameter_tuples(5)]
+    schemes += [
+        build_cdc_scheme(K, binomial(K, r), r) for K in range(2, 6) for r in range(1, K + 1)
+    ]
+    for scheme in schemes:
+        K = scheme.params.K
         for k in range(1, K + 1):
             stored = set(scheme.storage[k])
             expected = set()
+            own, coded = set(), set()
             for index, files in scheme.batches.items():
-                if k in index.s:
-                    expected.update(files)
+                if k not in index.s:
+                    continue
+                expected.update(files)
+                for q in range(1, K + 1):
+                    if scheme.kind == "cdc" or q == k or (k in index.t and q not in index.s):
+                        (own if q == k else coded).update(IvaId(q, n) for n in files)
             assert stored == expected
-            own = set(scheme.compute_own[k])
-            coded = set(scheme.compute_coded[k])
-            assert not own & coded
-            assert all(iva.file in stored for iva in own | coded)
-            assert all(iva.target == k for iva in own)
-            assert all(iva.target != k for iva in coded)
+            assert set(scheme.compute_own[k]) == own
+            assert set(scheme.compute_coded[k]) == coded
+            assert list(scheme.compute_own[k]) == sorted(own)
+            assert list(scheme.compute_coded[k]) == sorted(coded)
 
 
 def test_count_identities_exact():
@@ -170,7 +180,7 @@ def test_cdc_computes_everything_it_stores():
         expected = {
             IvaId(q, n) for q in (1, 2, 3) for n in cdc.storage[k]
         }
-        assert cdc.compute_set(k) == expected
+        assert set(cdc.compute_own[k]) | set(cdc.compute_coded[k]) == expected
     assert measure_storage(cdc) == 2
 
 
