@@ -30,6 +30,15 @@ class BitString:
         raise AttributeError("BitString is immutable")
 
     @classmethod
+    def _of(cls, value: int, length: int) -> "BitString":
+        """A value the library has just built to fit in ``length`` bits,
+        wrapped without the checks of ``__init__``."""
+        self = object.__new__(cls)
+        _set_value(self, value)
+        _set_length(self, length)
+        return self
+
+    @classmethod
     def from_bytes(cls, data: bytes, length: int | None = None) -> "BitString":
         """Interpret ``data`` big-endian; keep the first ``length`` bits."""
         nbits = 8 * len(data)
@@ -101,3 +110,7 @@ class BitString:
         if self.length <= 32:
             return f"BitString(0b{self.value:0{self.length}b})" if self.length else "BitString(empty)"
         return f"BitString({self.length} bits, {self.digest()})"
+
+
+_set_value = BitString.value.__set__
+_set_length = BitString.length.__set__

@@ -210,8 +210,8 @@ def _cmd_tradeoff(args) -> int:
 
 def _check_size(args, files: int | None = None) -> None:
     """Refuse, from counts alone, a request over SIZE_BUDGET (file, node)
-    pairs: N*K per scheme, a sweep's plan files as N, and K at least 1, since
-    compare builds its corpus before any scheme rejects K < 2."""
+    pairs: N*K per scheme, a sweep's plan files as N, and K at least 1, so
+    a K below 1 with a huge N is refused from counts like any other."""
     if args.command == "verify":
         pairs = sum(N * K for K, _, _, N in _verify_grid(args.K))
     else:

@@ -35,6 +35,10 @@ class GroupIndex(NamedTuple):
     i: NodeSet
     j: NodeSet
 
+    def requested_by(self, k: int) -> BatchIndex:
+        """The batch (i minus k, j minus k) whose values member k of j needs."""
+        return BatchIndex(*(tuple(x for x in nodes if x != k) for nodes in self))
+
 
 def binomial(n: int, k: int) -> int:
     """C(n, k); zero when k > n. Raises OverflowError past the 64-bit range."""

@@ -76,8 +76,19 @@ class FunctionSuite:
     output_bits: int
 
 
+# Key of the first digest block (counter 0) of each domain the suite uses.
+_FIRST_KEY = {domain: domain + bytes(8) for domain in (b"map", b"reduce")}
+
+
 def _digest_bits(domain: bytes, payload: bytes, nbits: int) -> BitString:
-    """Keyed digest stream truncated to nbits (counter mode for long outputs)."""
+    """Keyed digest stream truncated to nbits (counter mode for long outputs).
+
+    Block c is keyed with ``domain`` followed by c as 8 big-endian bytes. Up
+    to 512 bits, block 0 alone is the stream: one call, then a shift.
+    """
+    if nbits <= 512:
+        h = hashlib.blake2b(payload, digest_size=64, key=_FIRST_KEY[domain])
+        return BitString._of(int.from_bytes(h.digest(), "big") >> (512 - nbits), nbits)
     nbytes = (nbits + 7) // 8
     out = bytearray()
     counter = 0
@@ -332,6 +343,8 @@ def execute(
     collected: dict[int, dict[int, BitString]] = {k: {} for k in nodes}
 
     for scheme, offset in groups:
+        # keyed by plain (target, file) tuples, which hash and compare equal
+        # to IvaId, so IvaId lookups still find every value
         computed: dict[int, dict[IvaId, BitString]] = {k: {} for k in nodes}
         for batch, files in scheme.batches.items():
             for k in batch.s:
@@ -339,15 +352,15 @@ def execute(
                 for q in scheme.targets(k, batch):
                     for n in files:
                         data = view.read(offset + n)
-                        store[IvaId(q, n)] = suite.map_fn(q, offset + n, data)
+                        store[q, n] = suite.map_fn(q, offset + n, data)
         for k in nodes:
             computed_values[k] += len(computed[k])
 
         delivered, bits = run_shuffle(scheme, computed)
         total_bits += bits
-        all_signals = {
-            key: sig for store in delivered.values() for key, sig in store.items()
-        }
+        # every node receives every signal but its own, so nodes 1 and 2
+        # together hold them all: each misses only what the other holds
+        all_signals = {**delivered[1], **delivered[2]}
         for (sender, group), signal in all_signals.items():
             sent_signals[sender] += 1
             sent_bits[sender] += signal.bit_length
@@ -456,20 +469,21 @@ def compare_schemes(
     """
     if T is None:
         T = default_iva_bits(max(cfg[1] for cfg in configs))
-    corpus = generate_corpus(N, F, seed)
-    suite = default_suite(T, B)
-    rows = []
+    schemes = []  # every scheme is built, and so validated, before the corpus
     for cfg in configs:
         if cfg[0] == "d3c":
             _, r, g = cfg
             scheme = build_basic_scheme(SchemeParams(K=K, N=N, F=F, T=T, r=r, g=g))
-            name = f"d3c-r{r}-g{g}"
+            schemes.append((f"d3c-r{r}-g{g}", scheme))
         elif cfg[0] == "cdc":
             _, r = cfg
-            scheme = build_cdc_scheme(K, N, r, F=F, T=T)
-            name = f"cdc-r{r}"
+            schemes.append((f"cdc-r{r}", build_cdc_scheme(K, N, r, F=F, T=T)))
         else:
             raise InvalidParameterError(f"unknown scheme kind {cfg[0]!r}")
+    corpus = generate_corpus(N, F, seed)
+    suite = default_suite(T, B)
+    rows = []
+    for name, scheme in schemes:
         report = execute(scheme, corpus, suite)
         rows.append(
             ComparisonRow(

@@ -7,7 +7,9 @@ on a batch it stores. D3C maps the node's own function k, plus every
 function q outside s when k sits in t (the values k contributes to coded
 multicasts). The CDC baseline keeps the same placement at g = r but maps
 every function on every stored batch, so its computation load is r.
-``compute_own`` and ``compute_coded`` are views derived from that rule.
+``compute_own`` and ``compute_coded`` are views derived from that rule, and
+``coding`` is the table the coded exchange reads: who requests which batch
+in each multicast group, and who owns its segments.
 
 All loads are exact rationals; the identities they satisfy are exact, so
 tests compare with zero tolerance.
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .combinatorics import BatchIndex, batch_size, binomial, enum_omega
+from .combinatorics import BatchIndex, GroupIndex, batch_size, binomial, enum_omega, enum_pi
 from .errors import InvalidParameterError
 
 
@@ -31,6 +33,11 @@ class IvaId(NamedTuple):
 
     target: int
     file: int
+
+
+# One row of the coding table: (member, files of the batch it requests, the
+# coding set of that batch).
+CodingRow = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 def default_iva_bits(r: int) -> int:
@@ -109,6 +116,9 @@ class BasicScheme:
     storage: dict[int, tuple[int, ...]]
     kind: str = "d3c"
 
+    def __post_init__(self):
+        self.coding  # built once, with the scheme, before any exchange reads it
+
     def targets(self, k: int, batch: BatchIndex) -> tuple[int, ...]:
         """Functions node k maps on every file of a batch it stores."""
         nodes = range(1, self.params.K + 1)
@@ -126,6 +136,26 @@ class BasicScheme:
     def compute_coded(self) -> dict[int, tuple[IvaId, ...]]:
         return self._planned(own=False)
 
+    @cached_property
+    def coding(self) -> dict[GroupIndex, tuple[CodingRow, ...]]:
+        """The coding table, in group order: for each multicast group (i, j),
+        one (member, files, owners) row per member of j, ascending. ``files``
+        is the batch (i, j) minus the member, which that member requests;
+        ``owners``, its coding set, hold the block's g segments in ascending
+        order. Empty when every node stores everything (r = K).
+        """
+        p = self.params
+        if p.r >= p.K:
+            return {}
+        table = {}
+        for group in enum_pi(p.K, p.r, p.g):
+            requested = [group.requested_by(member) for member in group.j]
+            table[group] = tuple(
+                (member, self.batches[batch], batch.t)
+                for member, batch in zip(group.j, requested)
+            )
+        return table
+
     def _planned(self, own: bool) -> dict[int, tuple[IvaId, ...]]:
         return {
             k: tuple(sorted(
@@ -136,10 +166,6 @@ class BasicScheme:
             ))
             for k in self.storage
         }
-
-    def missing_batches(self, k: int) -> list[BatchIndex]:
-        """Batches whose own-target values node k must learn in the shuffle."""
-        return [b for b in self.batches if k not in b.s]
 
 
 def _placement(params: SchemeParams) -> tuple[dict, dict]:

@@ -7,8 +7,12 @@ sender's segments of the blocks requested by the other members of j.
 
 One rule serves both ends. A receiver decodes by cancelling the known terms:
 it XORs the signal with the same segments the sender XORed, all but its own,
-and what is left is its missing segment. ``_segment`` is the only place a
-block is built and cut, and ``_xor_known`` the only XOR over those terms.
+and what is left is its missing segment. Both ends read who requests which
+batch, and who owns its segments, from the scheme's coding table
+(``BasicScheme.coding``). A block is an int, its values joined in file
+order; ``_blocks`` is the only block builder, ``_segment`` the only cut and
+``_xor_known`` the only XOR over the known terms. ``BitString`` wraps each
+payload and each decoded value once.
 
 Only payload bits count toward the communication load; simulation metadata
 is tracked separately by the engine.
@@ -18,14 +22,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Mapping
+from typing import IO, Callable, Mapping
 
 from .bits import BitString
-from .combinatorics import BatchIndex, GroupIndex, enum_pi
+from .combinatorics import GroupIndex
 from .errors import DecodeError, InternalConsistencyError
-from .scheme import BasicScheme, IvaId
+from .scheme import BasicScheme, CodingRow, IvaId
 
 IvaStore = Mapping[IvaId, BitString]
+Block = Callable[[int, tuple[int, ...]], int]
 
 
 @dataclass(frozen=True)
@@ -41,38 +46,47 @@ class MulticastSignal:
         return self.payload.length
 
 
-def _segment(
-    computed: IvaStore, scheme: BasicScheme, group: GroupIndex, target: int, owner: int
-) -> BitString:
-    """The ``owner`` segment of the block that ``target`` requests in ``group``.
+def _blocks(store: IvaStore, T: int) -> Block:
+    """Block builder over one node's store for one group: ``block(i, files)``
+    joins i's values for ``files`` in file order, once per member i; raises
+    KeyError naming the first IvaId missing from ``store``."""
+    built: dict[int, int] = {}
 
-    The block is the batch (group.i, group.j) minus ``target``, its values for
-    ``target`` joined in ascending file order; raises KeyError naming the
-    first value missing from ``computed``.
-    """
-    batch = BatchIndex(
-        tuple(x for x in group.i if x != target),
-        tuple(x for x in group.j if x != target),
-    )
-    block = BitString.join(computed[IvaId(target, n)] for n in scheme.batches[batch])
-    seg_bits = block.length // scheme.params.g
-    return block.slice(batch.t.index(owner) * seg_bits, seg_bits)
+    def block(i: int, files: tuple[int, ...]) -> int:
+        v = built.get(i)
+        if v is None:
+            v = 0
+            try:
+                for n in files:
+                    v = (v << T) | store[i, n].value
+            except KeyError:
+                raise KeyError(IvaId(i, n)) from None
+            built[i] = v
+        return v
+
+    return block
+
+
+def _segment(block: int, owners: tuple[int, ...], owner: int, seg_bits: int) -> int:
+    """The ``owner`` segment of a block: owners hold its g segments in
+    ascending order from the most significant bits."""
+    shift = (len(owners) - 1 - owners.index(owner)) * seg_bits
+    return (block >> shift) & ((1 << seg_bits) - 1)
 
 
 def _xor_known(
-    acc: BitString | None,
-    computed: IvaStore,
-    scheme: BasicScheme,
-    group: GroupIndex,
+    acc: int,
+    block: Block,
+    members: tuple[CodingRow, ...],
     owner: int,
+    seg_bits: int,
     skip: int | None = None,
-) -> BitString | None:
+) -> int:
     """``acc`` XORed with the ``owner`` segment of the block requested by each
-    member of group.j other than ``owner`` and ``skip``."""
-    for i in group.j:
+    member of the group other than ``owner`` and ``skip``."""
+    for i, files, owners in members:
         if i != owner and i != skip:
-            seg = _segment(computed, scheme, group, i, owner)
-            acc = seg if acc is None else acc.xor(seg)
+            acc ^= _segment(block(i, files), owners, owner, seg_bits)
     return acc
 
 
@@ -84,18 +98,17 @@ def build_signals(scheme: BasicScheme, computed: Mapping[int, IvaStore]) -> list
     compute set; a miss indicates a compute-plan bug.
     """
     p = scheme.params
-    if p.r >= p.K:
-        return []  # every node stores everything; nothing to exchange
+    T, seg_bits = p.T, p.eta * p.T // p.g
     signals = []
-    for group in enum_pi(p.K, p.r, p.g):
+    for group, members in scheme.coding.items():
         for sender in group.j:
             try:
-                payload = _xor_known(None, computed[sender], scheme, group, sender)
+                payload = _xor_known(0, _blocks(computed[sender], T), members, sender, seg_bits)
             except KeyError as missing:
                 raise InternalConsistencyError(
                     f"node {sender} lacks operand {missing} for group {group}"
                 ) from None
-            signals.append(MulticastSignal(sender, group, payload))
+            signals.append(MulticastSignal(sender, group, BitString._of(payload, seg_bits)))
     return signals
 
 
@@ -109,13 +122,10 @@ def run_shuffle(
     """
     signals = build_signals(scheme, computed)
     total_bits = sum(s.bit_length for s in signals)
-    delivered: dict[int, dict[tuple[int, GroupIndex], MulticastSignal]] = {
-        k: {} for k in range(1, scheme.params.K + 1)
-    }
-    for signal in signals:
-        for k in delivered:
-            if k != signal.sender:
-                delivered[k][(signal.sender, signal.group)] = signal
+    everything = {(s.sender, s.group): s for s in signals}
+    delivered = {k: everything.copy() for k in range(1, scheme.params.K + 1)}
+    for key in everything:
+        del delivered[key[0]][key]  # a sender does not receive its own signal
     return delivered, total_bits
 
 
@@ -127,44 +137,56 @@ def decode_node(
 ) -> dict[int, BitString]:
     """Recover node k's full value set {v_(k,n) : n in [N]}.
 
-    Locally computed values cover stored batches. For each missing batch and
-    each coding-set member j, the j-owned segment of k's block is j's group
-    signal with the known terms cancelled (``_xor_known`` skipping k);
-    segments reassemble in ascending owner order into the block, which splits
-    back into values.
+    Locally computed values cover stored batches. Each missing batch is k's
+    row of a group whose j-set holds k. For each coding-set member j, the
+    j-owned segment of k's block is j's group signal with the known terms
+    cancelled (``_xor_known`` skipping k), each known block built once;
+    segments reassemble in ascending owner order into the block, which
+    splits back into values.
     """
     p = scheme.params
+    T, seg_bits = p.T, p.eta * p.T // p.g
+    value_mask = (1 << T) - 1
     result: dict[int, BitString] = {}
     for n in scheme.storage[k]:
-        iva = computed_k.get(IvaId(k, n))
+        iva = computed_k.get((k, n))
         if iva is None:
             raise DecodeError(f"node {k} missing own value for file {n}")
         result[n] = iva
-    for batch in scheme.missing_batches(k):
-        group = GroupIndex(
-            tuple(sorted(batch.s + (k,))),
-            tuple(sorted(batch.t + (k,))),
-        )
-        segments = []
-        for j in batch.t:
+    for group, members in scheme.coding.items():
+        if k not in group.j:
+            continue
+        _, files, owners = members[group.j.index(k)]
+        block = _blocks(computed_k, T)
+        recovered = 0
+        for j in owners:
             signal = delivered_k.get((j, group))
             if signal is None:
                 raise DecodeError(
                     f"node {k} missing signal from {j} for group {group}",
-                    batch=batch,
+                    batch=group.requested_by(k),
+                    owner=j,
+                )
+            if signal.bit_length != seg_bits:
+                raise DecodeError(
+                    f"node {k} got a {signal.bit_length}-bit signal from {j} for group "
+                    f"{group}; segments have {seg_bits} bits",
+                    batch=group.requested_by(k),
                     owner=j,
                 )
             try:
-                segments.append(_xor_known(signal.payload, computed_k, scheme, group, j, skip=k))
+                seg = _xor_known(signal.payload.value, block, members, j, seg_bits, skip=k)
             except KeyError as missing:
                 raise DecodeError(
                     f"node {k} lacks local operand {missing} for group {group}",
-                    batch=batch,
+                    batch=group.requested_by(k),
                     owner=j,
                 ) from None
-        block = BitString.join(segments)  # owners ascend with batch.t order
-        for n, iva in zip(scheme.batches[batch], block.chunks(p.T)):
-            result[n] = iva
+            recovered = (recovered << seg_bits) | seg  # owners ascend
+        shift = len(files) * T
+        for n in files:
+            shift -= T
+            result[n] = BitString._of((recovered >> shift) & value_mask, T)
     return result
 
 

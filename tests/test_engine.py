@@ -1,5 +1,6 @@
 """End-to-end runs: corpus, function suites, oracle verification, audit."""
 
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -12,6 +13,7 @@ from d3c.composer import minimal_files, plan_for_target, safe_iva_bits
 from d3c.engine import (
     _NodeFiles,
     _Auditor,
+    _digest_bits,
     compare_schemes,
     default_suite,
     execute,
@@ -54,6 +56,19 @@ def test_suite_determinism_and_sizes():
     assert suite.map_fn(1, 3, b"abc") != a
     wide = default_suite(520)  # larger than one digest block
     assert wide.map_fn(1, 1, b"x").length == 520
+
+
+def test_one_block_digest_is_the_counter_stream_prefix():
+    # up to 512 bits the digest stream is block 0 alone, taken in one call
+    payload = b"payload"
+    stream = b"".join(
+        hashlib.blake2b(payload, digest_size=64, key=b"map" + c.to_bytes(8, "big")).digest()
+        for c in range(2)
+    )
+    for nbits in (1, 7, 8, 24, 96, 511, 512, 513, 520):
+        nbytes = (nbits + 7) // 8
+        want = BitString.from_bytes(stream[:nbytes], nbits)
+        assert _digest_bits(b"map", payload, nbits) == want, nbits
 
 
 def test_reduce_is_order_sensitive():
@@ -247,6 +262,19 @@ def test_compare_single_config_and_corner_pair():
     pair = compare_schemes([("d3c", 2, 1), ("d3c", 2, 2)], 4, 24, T=8)
     assert pair[1].communication == pair[0].communication / 2
     assert pair[1].computation - pair[0].computation == Fraction(1, 2)
+
+
+def test_compare_validates_every_scheme_before_the_corpus(monkeypatch):
+    import d3c.engine
+
+    def no_corpus(*args):
+        raise AssertionError("corpus built before the schemes were checked")
+
+    monkeypatch.setattr(d3c.engine, "generate_corpus", no_corpus)
+    with pytest.raises(InvalidParameterError, match="need at least 2 nodes"):
+        compare_schemes([("d3c", 2, 1)], 1, 2**21)
+    with pytest.raises(InvalidParameterError, match="unknown scheme kind"):
+        compare_schemes([("d3c", 2, 1), ("uncoded", 2)], 4, 24, T=8)
 
 
 def test_flipped_signal_bit_fails_verification(monkeypatch):

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from d3c.analytics import build_curve, query_load
 from d3c.bits import BitString
 from d3c.cli import main
-from d3c.combinatorics import binomial
+from d3c.combinatorics import BatchIndex, binomial, enum_pi
 from d3c.composer import minimal_files, plan_for_target, safe_iva_bits
 from d3c.engine import default_suite, execute, generate_corpus
 from d3c.scheme import IvaId, build_basic_scheme, make_params
-from d3c.shuffle import decode_node, run_shuffle
+from d3c.shuffle import build_signals, decode_node, run_shuffle
 
 MAX_FILES = 3000  # bounds the run time of one example
 
@@ -170,11 +170,9 @@ def exchanges(draw):
     return K, r, g, eta, T, draw(st.integers(0, 2**32))
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(exchanges())
-@example((4, 3, 3, 2, 3, 0))  # 2-bit segments of 3-bit values straddle value edges
-@example((5, 4, 4, 3, 4, 1))  # 3-bit segments of 4-bit values
-def test_decode_recovers_every_value(case):
+def _random_exchange(case):
+    """The scheme of ``case`` and per-node stores of its planned values,
+    drawn from one random value table, and the table."""
     K, r, g, eta, T, seed = case
     N = eta * binomial(K, r) * binomial(r, g)
     scheme = build_basic_scheme(make_params(K, N, r, g, T=T))
@@ -188,7 +186,47 @@ def test_decode_recovers_every_value(case):
         k: {iva: table[iva] for iva in scheme.compute_own[k] + scheme.compute_coded[k]}
         for k in scheme.storage
     }
+    return scheme, computed, table
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(exchanges())
+@example((4, 3, 3, 2, 3, 0))  # 2-bit segments of 3-bit values straddle value edges
+@example((5, 4, 4, 3, 4, 1))  # 3-bit segments of 4-bit values
+def test_decode_recovers_every_value(case):
+    scheme, computed, table = _random_exchange(case)
     delivered, _ = run_shuffle(scheme, computed)
     for k in scheme.storage:
         values = decode_node(k, scheme, computed[k], delivered[k])
-        assert values == {n: table[IvaId(k, n)] for n in range(1, N + 1)}, k
+        assert values == {n: table[IvaId(k, n)] for n in range(1, scheme.params.N + 1)}, k
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(exchanges().filter(lambda case: case[1] < case[0]))
+@example((4, 2, 1, 2, 5, 3))  # g = 1: each payload is one whole block
+@example((4, 3, 3, 2, 3, 0))  # 2-bit cuts of 3-bit values straddle value edges
+@example((5, 3, 2, 3, 2, 7))  # 3-bit cuts of 2-bit values
+def test_signal_payloads_follow_the_paper_rule(case):
+    # reference: join the block member i requests, take the sender's 1/g of
+    # it, and XOR over the other members of j
+    K, r, g = case[:3]
+    scheme, computed, _ = _random_exchange(case)
+    want = []
+    for group in enum_pi(K, r, g):
+        for sender in group.j:
+            acc = None
+            for i in group.j:
+                if i == sender:
+                    continue
+                batch = BatchIndex(
+                    tuple(x for x in group.i if x != i), tuple(x for x in group.j if x != i)
+                )
+                block = BitString.join(
+                    computed[sender][IvaId(i, n)] for n in scheme.batches[batch]
+                )
+                seg = block.length // g
+                piece = block.slice(batch.t.index(sender) * seg, seg)
+                acc = piece if acc is None else acc.xor(piece)
+            want.append((sender, group, acc))
+    got = [(s.sender, s.group, s.payload) for s in build_signals(scheme, computed)]
+    assert got == want

@@ -14,6 +14,7 @@ from d3c.combinatorics import BatchIndex, binomial, enum_pi
 from d3c.errors import DecodeError, InternalConsistencyError, InvalidParameterError
 from d3c.scheme import IvaId, build_basic_scheme, build_cdc_scheme, make_params
 from d3c.shuffle import (
+    MulticastSignal,
     build_signals,
     decode_node,
     run_shuffle,
@@ -267,6 +268,40 @@ def test_missing_operand_is_an_internal_error():
     del computed[1][IvaId(2, 3)]
     with pytest.raises(InternalConsistencyError):
         build_signals(scheme, computed)
+
+
+def test_coding_table_is_enumerated_once_per_scheme(monkeypatch):
+    import d3c.scheme
+
+    calls = []
+
+    def counting_enum_pi(*args):
+        calls.append(args)
+        return enum_pi(*args)
+
+    monkeypatch.setattr(d3c.scheme, "enum_pi", counting_enum_pi)
+    scheme = minimal_scheme(5, 3, 2, eta=2, T=8)  # the table is built here
+    computed, table = computed_stores(scheme)
+    build_signals(scheme, computed)
+    delivered, _ = run_shuffle(scheme, computed)
+    for k in scheme.storage:
+        values = decode_node(k, scheme, computed[k], delivered[k])
+        assert all(values[n] == table[IvaId(k, n)] for n in values)
+    assert calls == [(5, 3, 2)]
+
+
+def test_wrong_length_signal_is_a_decode_error():
+    scheme = build_basic_scheme(make_params(3, 6, 2, 2, T=8))
+    computed, _ = computed_stores(scheme)
+    delivered, _ = run_shuffle(scheme, computed)
+    key = next(key for key in sorted(delivered[1]) if key[0] == 2)
+    signal = delivered[1][key]
+    longer = BitString(signal.payload.value, signal.bit_length + 1)
+    delivered[1][key] = MulticastSignal(signal.sender, signal.group, longer)
+    with pytest.raises(DecodeError, match="9-bit signal from 2") as err:
+        decode_node(1, scheme, computed[1], delivered[1])
+    assert err.value.batch == ((2, 3), (2, 3))
+    assert err.value.owner == 2
 
 
 def test_trace_records_schema_and_determinism():
