@@ -59,5 +59,5 @@ print("=" * 80)
 print("STEP 4: EMISSION ROWS (what the CLI writes as CSV)")
 print("=" * 80)
 print(f"\n  {'c':>12} {'L':>14}  kind")
-for c, L, kind in curve_rows(build_curve(K, r, resolution=1)):
+for c, L, kind in curve_rows(build_curve(K, r), 1):
     print(f"  {float(c):>12.6f} {float(L):>14.9f}  {kind}")

@@ -36,7 +36,6 @@ from .engine import (
     Corpus,
     ExecutionReport,
     FunctionSuite,
-    compare_schemes,
     default_suite,
     execute,
     generate_corpus,

@@ -20,7 +20,6 @@ exact rational; floats appear only when rows are serialized.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,8 +55,6 @@ class TradeoffCurve:
     K: int
     r: Fraction
     points: tuple[CornerPoint, ...]
-    flat_tail_end: Fraction
-    resolution: int = 0
 
     @property
     def c_star(self) -> Fraction:
@@ -144,7 +141,7 @@ def c_star(K: int, r: RationalLike) -> Fraction:
     return basic_computation(K, r, g_r(K, r))
 
 
-def build_curve(K: int, r: RationalLike, resolution: int = 0) -> TradeoffCurve:
+def build_curve(K: int, r: RationalLike) -> TradeoffCurve:
     """Envelope of the corners and the saturation point, flat out to c = r.
 
     The saturation point is (c_star, optimal_load_cdc): the memory-sharing
@@ -155,8 +152,6 @@ def build_curve(K: int, r: RationalLike, resolution: int = 0) -> TradeoffCurve:
     """
     r = to_fraction(r)
     _check_r(K, r)
-    if resolution < 0:
-        raise InvalidParameterError("resolution must be non-negative")
     points = [corner_load(K, r, g) for g in range(1, math.floor(r) + 1)]
     cs, ls = c_star(K, r), optimal_load_cdc(K, r)
     if cs > points[-1].c:
@@ -169,17 +164,15 @@ def build_curve(K: int, r: RationalLike, resolution: int = 0) -> TradeoffCurve:
     for prev, nxt in zip(points, points[1:]):
         if not (prev.c < nxt.c and nxt.L <= prev.L):
             raise InternalConsistencyError(f"non-monotone curve points: {prev} -> {nxt}")
-    return TradeoffCurve(K, r, tuple(points), flat_tail_end=r, resolution=resolution)
+    return TradeoffCurve(K, r, tuple(points))
 
 
 def query_load(curve: TradeoffCurve, c: RationalLike) -> Fraction:
     """Envelope load at computation budget c, by exact linear interpolation;
     constant at the saturation value for c >= c_star."""
     c = to_fraction(c)
-    if not 1 <= c <= curve.flat_tail_end:
-        raise InvalidParameterError(
-            f"computation load {c} outside [1, {curve.flat_tail_end}]"
-        )
+    if not 1 <= c <= curve.r:
+        raise InvalidParameterError(f"computation load {c} outside [1, {curve.r}]")
     points = curve.points
     if c >= points[-1].c:
         return points[-1].L
@@ -189,11 +182,12 @@ def query_load(curve: TradeoffCurve, c: RationalLike) -> Fraction:
     raise InvalidParameterError(f"computation load {c} below the first corner")
 
 
-def curve_rows(curve: TradeoffCurve) -> list[tuple[Fraction, Fraction, str]]:
-    """(c, L, segment_kind) rows for emission: the envelope points, optional
-    interpolated samples at the curve's resolution, and the flat tail."""
+def curve_rows(curve: TradeoffCurve, samples: int = 0) -> list[tuple[Fraction, Fraction, str]]:
+    """(c, L, segment_kind) rows for emission: the envelope points, the given
+    number of interpolated samples inside each segment, and the flat tail."""
+    if samples < 0:
+        raise InvalidParameterError("resolution must be non-negative")
     rows: list[tuple[Fraction, Fraction, str]] = []
-    samples = curve.resolution
     points = curve.points
     for a, b in zip(points, points[1:]):
         rows.append((a.c, a.L, "corner"))
@@ -201,11 +195,11 @@ def curve_rows(curve: TradeoffCurve) -> list[tuple[Fraction, Fraction, str]]:
             c = a.c + (b.c - a.c) * Fraction(i, samples + 1)
             rows.append((c, query_load(curve, c), "chord"))
     rows.append((points[-1].c, points[-1].L, "corner"))
-    if curve.flat_tail_end > points[-1].c:
+    if curve.r > points[-1].c:
         for i in range(1, samples + 1):
-            c = points[-1].c + (curve.flat_tail_end - points[-1].c) * Fraction(i, samples + 1)
+            c = points[-1].c + (curve.r - points[-1].c) * Fraction(i, samples + 1)
             rows.append((c, points[-1].L, "flat"))
-        rows.append((curve.flat_tail_end, points[-1].L, "flat"))
+        rows.append((curve.r, points[-1].L, "flat"))
     return rows
 
 
@@ -217,10 +211,6 @@ def curve_to_dict(curve: TradeoffCurve) -> dict:
             {"g": str(p.g), "c": str(p.c), "L": str(p.L), "c_value": float(p.c), "L_value": float(p.L)}
             for p in curve.points
         ],
-        "flat_tail_end": str(curve.flat_tail_end),
+        "flat_tail_end": str(curve.r),
         "flat_load": str(curve.flat_load),
     }
-
-
-def curve_to_json(curve: TradeoffCurve, *, indent: int = 2) -> str:
-    return json.dumps(curve_to_dict(curve), indent=indent)

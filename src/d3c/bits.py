@@ -80,14 +80,6 @@ class BitString:
         shift = self.length - start - nbits
         return BitString((self.value >> shift) & ((1 << nbits) - 1), nbits)
 
-    def chunks(self, nbits: int) -> list["BitString"]:
-        """Split into consecutive pieces of exactly ``nbits`` bits each."""
-        if nbits <= 0 or self.length % nbits:
-            raise InvalidParameterError(
-                f"{self.length} bits do not split into {nbits}-bit chunks"
-            )
-        return [self.slice(i, nbits) for i in range(0, self.length, nbits)]
-
     def digest(self) -> str:
         """Short stable hex digest of (length, payload) for trace output."""
         h = hashlib.sha256(self.length.to_bytes(8, "big") + self.to_bytes())

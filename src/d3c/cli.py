@@ -24,7 +24,7 @@ from .scheme import (
     build_basic_scheme,
     build_cdc_scheme,
     default_iva_bits,
-    scheme_to_json,
+    scheme_to_dict,
 )
 
 EXIT_OK = 0
@@ -55,22 +55,38 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
-def _sig(x) -> str:
-    """12-significant-digit decimal form used in CSV output."""
-    return f"{float(x):.12g}"
-
-
 def _write_text(out: str | None, text: str) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as err:
+        raise InvalidParameterError(f"cannot write {out}: {err.strerror}") from err
 
 
-def _csv(rows: list[list], header: list[str]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(str(cell) for cell in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _write_json(args, doc) -> None:
+    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+
+
+def _csv_cell(cell) -> str:
+    """A Fraction to 12 significant digits, a bool as true/false, else str."""
+    if isinstance(cell, Fraction):
+        return f"{float(cell):.12g}"
+    if isinstance(cell, bool):
+        return str(cell).lower()
+    return str(cell)
+
+
+def _write_table(args, header: list[str], rows: list[list]) -> None:
+    """CSV, or with --format json one object per row with each Fraction as
+    its exact string."""
+    if args.format == "json":
+        exact = [[str(c) if isinstance(c, Fraction) else c for c in row] for row in rows]
+        _write_json(args, [dict(zip(header, row)) for row in exact])
+        return
+    lines = [header] + [[_csv_cell(cell) for cell in row] for row in rows]
+    _write_text(args.out, "".join(",".join(line) + "\n" for line in lines))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,49 +190,33 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_tradeoff(args) -> int:
-    fmt = args.format or "csv"
     if args.cstar_sweep:
         if args.K < 2:
             raise InvalidParameterError("need --K >= 2")
-        step = Fraction(1, 20)
         rows = []
         r = Fraction(1)
         while r < args.K:
-            rows.append((r, analytics.c_star(args.K, r)))
-            r += step
-        if fmt == "json":
-            text = json.dumps(
-                [{"r": str(r), "c_star": str(cs), "c_equals_r": str(r)} for r, cs in rows],
-                indent=2,
-            ) + "\n"
-        else:
-            text = _csv(
-                [[_sig(r), _sig(cs), _sig(r)] for r, cs in rows],
-                ["r", "c_star", "c_equals_r"],
-            )
-        _write_text(args.out, text)
+            rows.append([r, analytics.c_star(args.K, r), r])
+            r += Fraction(1, 20)
+        _write_table(args, ["r", "c_star", "c_equals_r"], rows)
         return EXIT_OK
     if args.r is None:
         raise InvalidParameterError("tradeoff requires --r (or --cstar-sweep)")
-    curve = analytics.build_curve(args.K, args.r, args.resolution)
-    if fmt == "json":
-        text = analytics.curve_to_json(curve) + "\n"
+    curve = analytics.build_curve(args.K, args.r)
+    # built for JSON too, where --resolution goes unused, so that a negative
+    # --resolution is refused in either format
+    rows = analytics.curve_rows(curve, args.resolution)
+    if args.format == "json":
+        _write_json(args, analytics.curve_to_dict(curve))
     else:
-        rows = [[_sig(c), _sig(L), kind] for c, L, kind in analytics.curve_rows(curve)]
-        text = _csv(rows, ["c", "L", "segment_kind"])
-    _write_text(args.out, text)
+        _write_table(args, ["c", "L", "segment_kind"], rows)
     return EXIT_OK
 
 
-def _check_size(args, files: int | None = None) -> None:
+def _check_size(args, pairs: int) -> None:
     """Refuse, from counts alone, a request over SIZE_BUDGET (file, node)
-    pairs: N*K per scheme, a sweep's plan files as N, and K at least 1, so
-    a K below 1 with a huge N is refused from counts like any other."""
-    if args.command == "verify":
-        pairs = sum(N * K for K, _, _, N in _verify_grid(args.K))
-    else:
-        schemes = len(args.g) + args.cdc if args.command == "compare" else 1
-        pairs = schemes * (args.N if files is None else files) * max(args.K, 1)
+    pairs. Callers count N*K per scheme with K at least 1, so a K below 1
+    with a huge N is refused from counts like any other."""
     if pairs > SIZE_BUDGET:
         raise InvalidParameterError(
             f"this {args.command} needs {pairs} (file, node) pairs, "
@@ -224,13 +224,18 @@ def _check_size(args, files: int | None = None) -> None:
         )
 
 
-def _basic_scheme(args, r: int) -> BasicScheme:
-    """The --cdc baseline or the --g coded scheme at integer storage r; --T
-    defaults to default_iva_bits(r)."""
+def _basic_scheme(args, r: int, g: int | None) -> BasicScheme:
+    """The coded scheme at integer storage r and coding parameter g, or the
+    cdc baseline when g is None; --T defaults to default_iva_bits(r)."""
     T = default_iva_bits(r) if args.T is None else args.T
-    if args.cdc:
+    if g is None:
         return build_cdc_scheme(args.K, args.N, r, T=T)
-    return build_basic_scheme(SchemeParams(K=args.K, N=args.N, F=64, T=T, r=r, g=args.g))
+    return build_basic_scheme(SchemeParams(K=args.K, N=args.N, F=64, T=T, r=r, g=g))
+
+
+def _passed(report: engine.ExecutionReport) -> bool:
+    """Decoding verified and every measured load equal to its prediction."""
+    return report.verification_passed and report.measured == LoadReport(**report.predicted)
 
 
 def _resolve_simulate_plan(args):
@@ -245,9 +250,9 @@ def _resolve_simulate_plan(args):
         raise InvalidParameterError("give exactly one of --c or --g")
     elif args.g is not None and args.r.denominator != 1:
         raise InvalidParameterError("--g requires integer --r")
-    _check_size(args)
+    _check_size(args, args.N * max(args.K, 1))
     if args.cdc or args.g is not None:
-        scheme = _basic_scheme(args, int(args.r))
+        scheme = _basic_scheme(args, int(args.r), args.g)
         return scheme, scheme.params.T
     plan = composer.plan_for_target(args.K, args.N, args.r, args.c)
     return plan, composer.safe_iva_bits(plan) if args.T is None else args.T
@@ -258,61 +263,36 @@ def _cmd_simulate(args) -> int:
     corpus = engine.generate_corpus(args.N, 64, args.seed)
     suite = engine.default_suite(T, args.B)
     report = engine.execute(plan, corpus, suite, audit=True)
-    _write_text(args.out, report.to_json() + "\n")
-    ok =report.verification_passed and report.measured == LoadReport(**report.predicted)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    _write_json(args, report.to_dict())
+    return EXIT_OK if _passed(report) else EXIT_VERIFICATION
 
 
 def _cmd_compare(args) -> int:
-    configs: list[tuple] = [("d3c", args.r, g) for g in args.g]
-    if args.cdc:
-        configs.append(("cdc", args.r))
-    if not configs:
+    gs = [*args.g, None] if args.cdc else args.g
+    if not gs:
         raise InvalidParameterError("nothing to compare: give --g and/or --cdc")
-    _check_size(args)
-    rows = engine.compare_schemes(
-        configs, args.K, args.N, T=args.T, B=args.B, seed=args.seed
-    )
-    if (args.format or "csv") == "json":
-        text = json.dumps(
-            [
-                {
-                    "name": row.name,
-                    "r": str(row.storage),
-                    "c": str(row.computation),
-                    "L": str(row.communication),
-                    "predicted_c": str(row.predicted_computation),
-                    "predicted_L": str(row.predicted_communication),
-                    "verified": row.verified,
-                }
-                for row in rows
-            ],
-            indent=2,
-        ) + "\n"
-    else:
-        text = _csv(
-            [
-                [
-                    row.name,
-                    _sig(row.storage),
-                    _sig(row.computation),
-                    _sig(row.communication),
-                    _sig(row.predicted_computation),
-                    _sig(row.predicted_communication),
-                    str(row.verified).lower(),
-                ]
-                for row in rows
-            ],
-            ["name", "r", "c", "L", "predicted_c", "predicted_L", "verified"],
-        )
-    _write_text(args.out, text)
-    ok = all(
-        row.verified
-        and row.computation == row.predicted_computation
-        and row.communication == row.predicted_communication
-        for row in rows
-    )
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    _check_size(args, len(gs) * args.N * max(args.K, 1))
+    # every scheme is built, and so validated, before the corpus
+    schemes = [_basic_scheme(args, args.r, g) for g in gs]
+    corpus = engine.generate_corpus(args.N, 64, args.seed)
+    suite = engine.default_suite(schemes[0].params.T, args.B)
+    rows = []
+    all_ok = True
+    for g, scheme in zip(gs, schemes):
+        report = engine.execute(scheme, corpus, suite)
+        measured, predicted = report.measured, report.predicted
+        rows.append([
+            f"cdc-r{args.r}" if g is None else f"d3c-r{args.r}-g{g}",
+            measured.storage_space,
+            measured.computation_load,
+            measured.communication_load,
+            predicted["computation_load"],
+            predicted["communication_load"],
+            report.verification_passed,
+        ])
+        all_ok &= _passed(report)
+    _write_table(args, ["name", "r", "c", "L", "predicted_c", "predicted_L", "verified"], rows)
+    return EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
 def _verify_grid(K_max: int):
@@ -326,7 +306,7 @@ def _verify_grid(K_max: int):
 def _cmd_verify(args) -> int:
     if args.K < 2:
         raise InvalidParameterError("need --K >= 2")
-    _check_size(args)
+    _check_size(args, sum(N * K for K, _, _, N in _verify_grid(args.K)))
     rows = []
     all_ok = True
     for K, r, g, N in _verify_grid(args.K):
@@ -340,18 +320,11 @@ def _cmd_verify(args) -> int:
         d_ok = report.verification_passed
         ok = c_ok and l_ok and d_ok
         all_ok &= ok
-        rows.append([K, r, g, N, _b(c_ok), _b(l_ok), _b(d_ok), _b(ok)])
+        # flags as "true"/"false" strings, which the JSON form has always printed
+        rows.append([K, r, g, N, *map(_csv_cell, (c_ok, l_ok, d_ok, ok))])
     header = ["K", "r", "g", "N", "computation_ok", "communication_ok", "decode_ok", "pass"]
-    if (args.format or "csv") == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
-    else:
-        text = _csv(rows, header)
-    _write_text(args.out, text)
+    _write_table(args, header, rows)
     return EXIT_OK if all_ok else EXIT_VERIFICATION
-
-
-def _b(flag: bool) -> str:
-    return str(bool(flag)).lower()
 
 
 def _cmd_sweep(args) -> int:
@@ -371,7 +344,7 @@ def _cmd_sweep(args) -> int:
             predicted = analytics.query_load(curve, c)
             N = composer.minimal_files(args.K, r, c) if args.execute else 0
             points.append((r, c, predicted, N))
-    _check_size(args, files=sum(N for *_, N in points))
+    _check_size(args, sum(N for *_, N in points) * max(args.K, 1))
     rows = []
     all_ok = True
     for r, c, predicted, N in points:
@@ -382,13 +355,12 @@ def _cmd_sweep(args) -> int:
             T = composer.safe_iva_bits(plan) if args.T is None else args.T
             corpus = engine.generate_corpus(N, 64, args.seed)
             report = engine.execute(plan, corpus, engine.default_suite(T))
-            measured = _sig(report.measured.communication_load)
-            verified = _b(report.verification_passed)
+            measured = report.measured.communication_load
+            verified = report.verification_passed
             all_ok &= report.verification_passed
             all_ok &= report.measured.communication_load == predicted
-        rows.append([_sig(r), _sig(c), _sig(predicted), measured, verified])
-    text = _csv(rows, ["r", "c", "predicted_L", "measured_L", "verified"])
-    _write_text(args.out, text)
+        rows.append([r, c, predicted, measured, verified])
+    _write_table(args, ["r", "c", "predicted_L", "measured_L", "verified"], rows)
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
@@ -397,8 +369,8 @@ def _cmd_inspect(args) -> int:
         raise InvalidParameterError("--cdc does not take --g")
     if not args.cdc and args.g is None:
         raise InvalidParameterError("give --g for the coded scheme or --cdc")
-    _check_size(args)
-    _write_text(args.out, scheme_to_json(_basic_scheme(args, args.r)) + "\n")
+    _check_size(args, args.N * max(args.K, 1))
+    _write_json(args, scheme_to_dict(_basic_scheme(args, args.r, args.g)))
     return EXIT_OK
 
 

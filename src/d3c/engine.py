@@ -13,7 +13,6 @@ fields, so identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -30,9 +29,6 @@ from .scheme import (
     LoadReport,
     SchemeParams,
     build_basic_scheme,
-    build_cdc_scheme,
-    default_iva_bits,
-    measure_storage,
 )
 from .shuffle import decode_node, run_shuffle, write_signal_trace
 
@@ -236,9 +232,6 @@ class ExecutionReport:
             "audit": self.audit,
         }
 
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def _bind(
     plan: BasicScheme | CompositePlan, F: int, suite: FunctionSuite | None
@@ -439,61 +432,3 @@ def execute(
         overhead_bits=overhead_bits,
         audit=audit_summary,
     )
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    name: str
-    storage: Fraction
-    computation: Fraction
-    communication: Fraction
-    predicted_computation: Fraction
-    predicted_communication: Fraction
-    verified: bool
-
-
-def compare_schemes(
-    configs: Sequence[tuple],
-    K: int,
-    N: int,
-    *,
-    F: int = 64,
-    T: int | None = None,
-    B: int | None = None,
-    seed: int = 0,
-) -> list[ComparisonRow]:
-    """Execute several schemes on one corpus and tabulate measured loads
-    beside their analytic predictions.
-
-    Each config is ("d3c", r, g) or ("cdc", r).
-    """
-    if T is None:
-        T = default_iva_bits(max(cfg[1] for cfg in configs))
-    schemes = []  # every scheme is built, and so validated, before the corpus
-    for cfg in configs:
-        if cfg[0] == "d3c":
-            _, r, g = cfg
-            scheme = build_basic_scheme(SchemeParams(K=K, N=N, F=F, T=T, r=r, g=g))
-            schemes.append((f"d3c-r{r}-g{g}", scheme))
-        elif cfg[0] == "cdc":
-            _, r = cfg
-            schemes.append((f"cdc-r{r}", build_cdc_scheme(K, N, r, F=F, T=T)))
-        else:
-            raise InvalidParameterError(f"unknown scheme kind {cfg[0]!r}")
-    corpus = generate_corpus(N, F, seed)
-    suite = default_suite(T, B)
-    rows = []
-    for name, scheme in schemes:
-        report = execute(scheme, corpus, suite)
-        rows.append(
-            ComparisonRow(
-                name=name,
-                storage=measure_storage(scheme),
-                computation=report.measured.computation_load,
-                communication=report.measured.communication_load,
-                predicted_computation=report.predicted["computation_load"],
-                predicted_communication=report.predicted["communication_load"],
-                verified=report.verification_passed,
-            )
-        )
-    return rows

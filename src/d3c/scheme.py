@@ -17,7 +17,6 @@ tests compare with zero tolerance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,7 +245,3 @@ def scheme_to_dict(scheme: BasicScheme) -> dict:
             for k, ivas in scheme.compute_coded.items()
         },
     }
-
-
-def scheme_to_json(scheme: BasicScheme, *, indent: int = 2) -> str:
-    return json.dumps(scheme_to_dict(scheme), indent=indent)

@@ -131,7 +131,7 @@ def test_curve_for_fractional_storage():
         (Fraction(29, 10), Fraction(1, 8)),
     ]
     assert curve.points[-1].g == Fraction(49, 11)
-    assert curve.flat_tail_end == Fraction(9, 2)
+    assert curve_rows(curve)[-1][0] == Fraction(9, 2)
 
 
 def test_curve_for_integer_storage():
@@ -140,13 +140,13 @@ def test_curve_for_integer_storage():
         (1, Fraction(1, 3)),
         (Fraction(4, 3), Fraction(1, 6)),
     ]
-    assert curve.flat_tail_end == 2
+    assert curve_rows(curve)[-1][0] == 2
 
 
 def test_curve_single_point():
     curve = build_curve(6, 1)
     assert [(p.c, p.L) for p in curve.points] == [(1, Fraction(5, 6))]
-    assert curve.flat_tail_end == 1
+    assert curve_rows(curve)[-1][0] == 1
 
 
 def test_curve_monotone_and_convex():
@@ -234,7 +234,7 @@ def test_query_load_monotone_in_budget_and_storage():
         assert all(a >= b for a, b in zip(loads, loads[1:]))
         if prev_curve is not None:
             for c in grid:
-                if c <= prev_curve.flat_tail_end:
+                if c <= prev_curve.r:
                     assert query_load(curve, c) <= query_load(prev_curve, c)
         prev_curve = curve
 
@@ -255,7 +255,7 @@ def test_curve_rows_kinds_and_resolution():
     assert [kind for _, _, kind in plain] == ["corner"] * 5 + ["flat"]
     assert plain[-1][0] == Fraction(9, 2)
 
-    sampled = curve_rows(build_curve(10, "4.5", resolution=3))
+    sampled = curve_rows(build_curve(10, "4.5"), 3)
     kinds = [kind for _, _, kind in sampled]
     assert kinds.count("corner") == 5
     assert kinds.count("chord") == 4 * 3
@@ -267,3 +267,5 @@ def test_curve_rows_kinds_and_resolution():
 
     single = curve_rows(build_curve(6, 1))
     assert single == [(Fraction(1), Fraction(5, 6), "corner")]
+    with pytest.raises(InvalidParameterError, match="resolution must be non-negative"):
+        curve_rows(build_curve(10, "4.5"), -1)

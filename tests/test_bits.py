@@ -35,13 +35,6 @@ def test_slice_and_join_are_inverse():
     assert BitString.join(parts) == bs
 
 
-def test_chunks():
-    bs = BitString(0b101100, 6)
-    assert [c.value for c in bs.chunks(3)] == [0b101, 0b100]
-    with pytest.raises(InvalidParameterError):
-        bs.chunks(4)
-
-
 def test_xor_requires_equal_lengths():
     a = BitString(0b1100, 4)
     b = BitString(0b1010, 4)

@@ -151,6 +151,57 @@ def test_compare_table(capsys):
     assert float(rows[1][2]) == 2.0
 
 
+def compare_json(capsys, *argv):
+    """Exit code and {name: row} of a compare run, loads as exact rationals."""
+    code, out, _ = run(capsys, "compare", *argv, "--format", "json")
+    rows = json.loads(out)
+    for row in rows:
+        for key in ("r", "c", "L", "predicted_c", "predicted_L"):
+            row[key] = Fraction(row[key])
+    return code, {row["name"]: row for row in rows}
+
+
+def test_compare_golden_table_in_exact_rationals(capsys):
+    code, rows = compare_json(
+        capsys, "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--cdc", "--T", "8"
+    )
+    assert code == 0
+    coded, baseline = rows["d3c-r2-g2"], rows["cdc-r2"]
+    assert (coded["c"], coded["L"]) == (Fraction(4, 3), Fraction(1, 6))
+    assert (baseline["c"], baseline["L"]) == (2, Fraction(1, 6))
+    for row in rows.values():
+        assert row["verified"] is True
+        assert (row["c"], row["L"]) == (row["predicted_c"], row["predicted_L"])
+
+
+def test_compare_single_scheme_and_corner_pair(capsys):
+    small = ("--K", "4", "--N", "24", "--r", "2", "--T", "8")
+    code, only = compare_json(capsys, *small, "--g", "1")
+    assert code == 0
+    assert only["d3c-r2-g1"]["L"] == Fraction(1, 2)
+    code, pair = compare_json(capsys, *small, "--g", "1,2")
+    assert code == 0
+    g1, g2 = pair["d3c-r2-g1"], pair["d3c-r2-g2"]
+    assert g2["L"] == g1["L"] / 2
+    assert g2["c"] - g1["c"] == Fraction(1, 2)
+
+
+def test_compare_validates_every_scheme_before_the_corpus(capsys, monkeypatch):
+    import d3c.engine
+
+    def no_corpus(*args):
+        raise AssertionError("corpus built before the schemes were checked")
+
+    monkeypatch.setattr(d3c.engine, "generate_corpus", no_corpus)
+    for argv, message in (
+        (("--K", "4", "--N", "24", "--r", "2", "--g", "1,5"), "need 1 <= g <= r <= K, got g=5"),
+        (("--K", "1", "--N", "24", "--r", "2", "--g", "1", "--cdc"), "need at least 2 nodes"),
+    ):
+        code, out, err = run(capsys, "compare", *argv)
+        assert (code, out) == (1, ""), argv
+        assert message in err
+
+
 def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--K", "3")
     assert code == 0
@@ -233,8 +284,8 @@ def test_sweep_budget_refuses_only_above_it(capsys, monkeypatch):
 
 def test_requests_over_budget_are_refused_from_counts(capsys):
     # verify --K 16 would build 996,904,236 (file, node) pairs over its
-    # schemes and 10^7 files at K = 10 are 10^8 pairs; compare builds its
-    # corpus before any scheme rejects K = 0, so K counts as at least 1
+    # schemes and 10^7 files at K = 10 are 10^8 pairs; K counts as at least
+    # 1, so a K = 0 request with a huge N is refused from counts too
     for argv, pairs in (
         (("verify", "--K", "16"), 996904236),
         (("simulate", "--K", "10", "--N", "10000000", "--r", "2", "--g", "1"), 10**8),
@@ -341,6 +392,20 @@ def test_outputs_byte_identical_across_runs(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    small = ("--K", "3", "--N", "6", "--r", "2", "--g", "2", "--T", "8")
+    for target in (tmp_path / "missing" / "x.out", tmp_path):
+        for argv in (
+            ("tradeoff", "--K", "10", "--r", "4.5"),
+            ("inspect", *small),
+            ("simulate", *small),
+        ):
+            code, out, err = run(capsys, *argv, "--out", str(target))
+            assert (code, out) == (1, ""), (argv, target)
+            assert err.startswith(f"d3c: error: cannot write {target}: "), err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_too_large_counts_are_usage_errors(capsys):

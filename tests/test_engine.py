@@ -14,7 +14,6 @@ from d3c.engine import (
     _NodeFiles,
     _Auditor,
     _digest_bits,
-    compare_schemes,
     default_suite,
     execute,
     generate_corpus,
@@ -159,7 +158,7 @@ def test_seed_stability_and_sensitivity():
     a = run_basic(3, 6, 2, 2, T=8, seed=5)
     b = run_basic(3, 6, 2, 2, T=8, seed=5)
     c = run_basic(3, 6, 2, 2, T=8, seed=6)
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
     assert a.outputs != c.outputs
     assert a.measured == c.measured  # loads do not depend on content
 
@@ -224,7 +223,7 @@ def test_trace_stream():
 
 def test_report_serialization_roundtrip():
     report = run_basic(3, 6, 2, 2, T=8, audit=True)
-    doc = json.loads(report.to_json())
+    doc = report.to_dict()
     assert doc["measured"]["communication_load"]["exact"] == "1/6"
     assert doc["verification"] == {"passed": True, "first_mismatch": None}
     assert doc["plan"] == {"type": "d3c", "r": 2, "g": 2}
@@ -239,42 +238,6 @@ def test_corpus_plan_mismatch():
         execute(scheme, generate_corpus(6, 32, 0), default_suite(8))
     with pytest.raises(InvalidParameterError):
         execute(scheme, generate_corpus(6, 64, 0), default_suite(16))
-
-
-def test_compare_schemes_golden_table():
-    rows = compare_schemes([("d3c", 2, 2), ("cdc", 2)], 3, 6, T=8)
-    named = {row.name: row for row in rows}
-    coded = named["d3c-r2-g2"]
-    baseline = named["cdc-r2"]
-    assert (coded.computation, coded.communication) == (Fraction(4, 3), Fraction(1, 6))
-    assert (baseline.computation, baseline.communication) == (Fraction(2), Fraction(1, 6))
-    assert all(row.verified for row in rows)
-    assert all(
-        row.computation == row.predicted_computation
-        and row.communication == row.predicted_communication
-        for row in rows
-    )
-
-
-def test_compare_single_config_and_corner_pair():
-    (only,) = compare_schemes([("d3c", 2, 1)], 4, 24, T=8)
-    assert only.communication == Fraction(1, 2)
-    pair = compare_schemes([("d3c", 2, 1), ("d3c", 2, 2)], 4, 24, T=8)
-    assert pair[1].communication == pair[0].communication / 2
-    assert pair[1].computation - pair[0].computation == Fraction(1, 2)
-
-
-def test_compare_validates_every_scheme_before_the_corpus(monkeypatch):
-    import d3c.engine
-
-    def no_corpus(*args):
-        raise AssertionError("corpus built before the schemes were checked")
-
-    monkeypatch.setattr(d3c.engine, "generate_corpus", no_corpus)
-    with pytest.raises(InvalidParameterError, match="need at least 2 nodes"):
-        compare_schemes([("d3c", 2, 1)], 1, 2**21)
-    with pytest.raises(InvalidParameterError, match="unknown scheme kind"):
-        compare_schemes([("d3c", 2, 1), ("uncoded", 2)], 4, 24, T=8)
 
 
 def test_flipped_signal_bit_fails_verification(monkeypatch):
