@@ -28,9 +28,6 @@ from .composer import (
     GroupSpec,
     minimal_files,
     plan_for_target,
-    split_e1,
-    split_e2,
-    split_e3,
 )
 from .engine import (
     Corpus,

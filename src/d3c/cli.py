@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import analytics, composer, engine
+from .combinatorics import group_divisor
 from .errors import D3CError, DivisibilityError, InvalidParameterError
 from .scheme import (
     BasicScheme,
@@ -193,6 +195,7 @@ def _cmd_tradeoff(args) -> int:
     if args.cstar_sweep:
         if args.K < 2:
             raise InvalidParameterError("need --K >= 2")
+        _check_size(args, 20 * (args.K - 1), "rows")
         rows = []
         r = Fraction(1)
         while r < args.K:
@@ -202,25 +205,29 @@ def _cmd_tradeoff(args) -> int:
         return EXIT_OK
     if args.r is None:
         raise InvalidParameterError("tradeoff requires --r (or --cstar-sweep)")
+    analytics.g_r(args.K, args.r)  # refuses a bad K or r as build_curve would
+    if args.resolution < 0:
+        raise InvalidParameterError("resolution must be non-negative")
+    # at most floor(r) + 1 curve points, each segment with its samples, and
+    # the end of the flat tail; JSON writes the points alone
+    samples = 0 if args.format == "json" else args.resolution
+    _check_size(args, (math.floor(args.r) + 1) * (samples + 1) + 1, "rows")
     curve = analytics.build_curve(args.K, args.r)
-    # built for JSON too, where --resolution goes unused, so that a negative
-    # --resolution is refused in either format
-    rows = analytics.curve_rows(curve, args.resolution)
     if args.format == "json":
         _write_json(args, analytics.curve_to_dict(curve))
     else:
+        rows = analytics.curve_rows(curve, args.resolution)
         _write_table(args, ["c", "L", "segment_kind"], rows)
     return EXIT_OK
 
 
-def _check_size(args, pairs: int) -> None:
+def _check_size(args, count: int, unit: str = "(file, node) pairs") -> None:
     """Refuse, from counts alone, a request over SIZE_BUDGET (file, node)
-    pairs. Callers count N*K per scheme with K at least 1, so a K below 1
-    with a huge N is refused from counts like any other."""
-    if pairs > SIZE_BUDGET:
+    pairs or output rows. Callers count N*K per scheme with K at least 1, so
+    a K below 1 with a huge N is refused from counts like any other."""
+    if count > SIZE_BUDGET:
         raise InvalidParameterError(
-            f"this {args.command} needs {pairs} (file, node) pairs, "
-            f"over the budget of {SIZE_BUDGET}"
+            f"this {args.command} needs {count} {unit}, over the budget of {SIZE_BUDGET}"
         )
 
 
@@ -300,7 +307,7 @@ def _verify_grid(K_max: int):
     for K in range(2, K_max + 1):
         for r in range(1, K):
             for g in range(1, r + 1):
-                yield K, r, g, composer.group_divisor(K, r, g)
+                yield K, r, g, group_divisor(K, r, g)
 
 
 def _cmd_verify(args) -> int:
@@ -330,10 +337,15 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.resolution < 2:
         raise InvalidParameterError(f"--resolution must be at least 2, got {args.resolution}")
-    points = []  # (r, c, predicted L, files the executed plan needs)
     for r in args.r:
         if not 1 <= r < args.K:
             raise InvalidParameterError(f"storage value {r} outside [1, {args.K})")
+    # each storage value builds at most floor(r) + 1 curve points and emits
+    # one row per computation value
+    per_r = len(args.c) or args.resolution
+    _check_size(args, sum(math.floor(r) + 1 + per_r for r in args.r), "rows")
+    points = []  # (r, c, predicted L, files the executed plan needs)
+    for r in args.r:
         curve = analytics.build_curve(args.K, r)
         if args.c:
             c_values = args.c

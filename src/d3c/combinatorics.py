@@ -80,12 +80,18 @@ def enum_pi(K: int, r: int, g: int) -> list[GroupIndex]:
     return out
 
 
+def group_divisor(K: int, r: int, g: int) -> int:
+    """File-count divisor of a basic scheme, its number of batches:
+    C(K, r) * C(r, g)."""
+    return binomial(K, r) * binomial(r, g)
+
+
 def batch_size(N: int, K: int, r: int, g: int) -> int:
     """Files per batch: N / (C(K,r) * C(r,g)); N must divide evenly."""
     _check_params(K, r, g, require_r_below_K=False)
     if N < 1:
         raise InvalidParameterError(f"file count must be positive, got {N}")
-    denom = binomial(K, r) * binomial(r, g)
+    denom = group_divisor(K, r, g)
     if N % denom:
         raise DivisibilityError(
             f"file count {N} is not a multiple of C({K},{r})*C({r},{g}) = {denom}; "

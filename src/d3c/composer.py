@@ -1,20 +1,20 @@
 """Planning fractional (storage, computation) targets as file-group mixtures.
 
 A fractional target is realized by partitioning the file corpus into groups
-and running an independent basic scheme per group. Every plan is a
-file-weighted mix (_mix) of two group lists, built by one of three
-constructions:
+and running an independent basic scheme per group. The curve for storage r
+has a point at each integer coding parameter g = 1..floor(r), the storage
+split (floor(r), g) / (ceil(r), g) in the proportion that averages to r, and
+the saturation point at g_r, the pair (floor(r), floor(r)) /
+(ceil(r), ceil(r)). One rule plans every target: the budget c implies a
+coding parameter g, and the plan is the chord mix (_mix) of the two curve
+points around g, weighted so the mix lands on g. The point below is
+floor(g); the point above is floor(g) + 1 below floor(r) (route e2) and the
+saturation point past it (route e3). An integer g is one point (route corner
+at integer r, e1 otherwise).
 
-  fractional storage   -> the corners (floor(r), g) and (ceil(r), g)
-  fractional coding    -> the storage splits at the neighboring integer g
-  saturation approach  -> the storage split at g = floor(r) and the
-                          saturation pair (floor(r), floor(r)) /
-                          (ceil(r), ceil(r)), weighted so the implied coding
-                          parameter lands between floor(r) and g_r
-
-Beyond saturation the plan is the plan at c_star: extra computation budget
-buys no further communication savings, so the plan's effective computation
-stays at the saturation load.
+Beyond saturation the plan is the plan at c_star (route clamp): extra
+computation budget buys no further communication savings, so the plan's
+effective computation stays at the saturation load.
 
 Weighted loads are exact rationals, so at any admissible corpus size every
 target is hit exactly; no tolerance slack appears in any interface. The
@@ -31,12 +31,11 @@ from .analytics import (
     RationalLike,
     basic_communication,
     basic_computation,
-    c_star,
     g_r,
     implied_g,
     to_fraction,
 )
-from .combinatorics import binomial
+from .combinatorics import group_divisor
 from .errors import DivisibilityError, InternalConsistencyError, InvalidParameterError
 
 
@@ -56,40 +55,20 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class CompositePlan:
-    """A weighted list of basic schemes realizing a fractional target."""
+    """A weighted list of basic schemes realizing a fractional target.
+
+    plan_for_target checks that predicted_r is the target storage; target_c
+    is kept because it exceeds predicted_c on route clamp.
+    """
 
     K: int
     N: int
-    target_r: Fraction
     target_c: Fraction
     groups: tuple[GroupSpec, ...]
     predicted_r: Fraction
     predicted_c: Fraction
     predicted_L: Fraction
     route: str  # one of corner, e1, e2, e3, clamp
-
-
-def split_e1(K: int, r: RationalLike, g: int) -> tuple[Fraction, list[GroupSpec]]:
-    """Fractional-storage split at integer g.
-
-    Returns the unique alpha with r = (1-alpha) floor(r) + alpha ceil(r) and
-    the one or two groups realizing it.
-    """
-    r = to_fraction(r)
-    if not 1 <= r < K:
-        raise InvalidParameterError(f"need 1 <= r < {K}, got r={r}")
-    lo = math.floor(r)
-    if not 1 <= g <= lo:
-        raise InvalidParameterError(
-            f"storage split requires 1 <= g <= floor(r) = {lo}, got g={g}"
-        )
-    alpha = r - lo
-    if alpha == 0:
-        return Fraction(0), [GroupSpec(Fraction(1), lo, g)]
-    return alpha, [
-        GroupSpec(1 - alpha, lo, g),
-        GroupSpec(alpha, lo + 1, g),
-    ]
 
 
 def _mix(a: list[GroupSpec], b: list[GroupSpec], w: Fraction) -> list[GroupSpec]:
@@ -102,58 +81,21 @@ def _mix(a: list[GroupSpec], b: list[GroupSpec], w: Fraction) -> list[GroupSpec]
     return [GroupSpec(f, r, g) for (r, g), f in acc.items() if f]
 
 
-def split_e2(K: int, r: RationalLike, g: RationalLike) -> tuple[Fraction, list[GroupSpec]]:
-    """Fractional-coding split: two storage splits at the neighboring integers.
-
-    Returns the unique beta with g = (1-beta) floor(g) + beta ceil(g).
-    """
-    r, g = to_fraction(r), to_fraction(g)
-    lo_g = math.floor(g)
-    beta = g - lo_g
-    if beta == 0:
-        return Fraction(0), split_e1(K, r, lo_g)[1]
-    if not 1 <= g < math.floor(r):
-        raise InvalidParameterError(
-            f"fractional coding split requires 1 <= g < floor(r); got g={g}, "
-            f"r={r} (beyond floor(r) use the saturation split)"
-        )
-    return beta, _mix(split_e1(K, r, lo_g)[1], split_e1(K, r, lo_g + 1)[1], beta)
-
-
-def split_e3(K: int, r: RationalLike, c: RationalLike) -> tuple[Fraction, list[GroupSpec]]:
-    """Saturation-approach split for fractional r.
-
-    Mixes the storage split at g = floor(r) with the saturation pair
-    (floor(r), floor(r)) / (ceil(r), ceil(r)) in the proportion lambda that
-    puts the implied coding parameter between floor(r) and g_r. Returns
-    theta = lambda (r - floor(r)), the weight of the (ceil(r), ceil(r)) group.
-    """
-    r, c = to_fraction(r), to_fraction(c)
-    if not 1 <= r < K:
-        raise InvalidParameterError(f"need 1 <= r < {K}, got r={r}")
-    lo, hi = math.floor(r), math.ceil(r)
-    if lo == hi:
-        raise InvalidParameterError("saturation split applies to fractional r only")
-    if hi == K:
-        raise InvalidParameterError(
-            "saturation split is empty when ceil(r) = K; the saturation "
-            "parameter equals floor(r), use the storage split there"
-        )
-    g_implied = implied_g(K, r, c)
-    gr = g_r(K, r)
-    if not lo < g_implied <= gr:
-        raise InvalidParameterError(
-            f"computation budget {c} implies coding parameter {g_implied}, "
-            f"outside the saturation interval ({lo}, {gr}]"
-        )
-    alpha = r - lo
-    lam = (g_implied - lo) / (gr - lo)
-    saturation = [GroupSpec(1 - alpha, lo, lo), GroupSpec(alpha, hi, hi)]
-    return lam * alpha, _mix(split_e1(K, r, lo)[1], saturation, lam)
+def _point(r: Fraction, x: int | Fraction) -> list[GroupSpec]:
+    """The groups of the curve point at coding parameter x: the storage
+    split (floor(r), x) / (ceil(r), x) at integer x, the saturation pair
+    (floor(r), floor(r)) / (ceil(r), ceil(r)) at fractional x = g_r."""
+    lo, alpha = math.floor(r), r - math.floor(r)
+    if x.denominator == 1:
+        pairs = ((1 - alpha, lo, int(x)), (alpha, lo + 1, int(x)))
+    else:
+        pairs = ((1 - alpha, lo, lo), (alpha, lo + 1, lo + 1))
+    return [GroupSpec(f, r_, g) for f, r_, g in pairs if f]
 
 
 def _route(K: int, r: Fraction, c: Fraction) -> tuple[str, list[GroupSpec]]:
-    """The route label and the groups of the plan for (r, c); beyond
+    """The route label and the groups of the plan for (r, c): the chord mix
+    of the two curve points around the implied coding parameter; beyond
     saturation, the groups of the plan at c_star."""
     if not 1 <= c <= r:
         raise InvalidParameterError(f"need 1 <= c <= r, got c={c}, r={r}")
@@ -162,19 +104,15 @@ def _route(K: int, r: Fraction, c: Fraction) -> tuple[str, list[GroupSpec]]:
     g, gr = implied_g(K, r, c), g_r(K, r)
     clamp = g > gr
     if clamp:
-        g, c = gr, c_star(K, r)
-    if g.denominator == 1:
-        route, groups = ("corner" if r.denominator == 1 else "e1"), split_e1(K, r, int(g))[1]
-    elif g < math.floor(r):
-        route, groups = "e2", split_e2(K, r, g)[1]
+        g = gr
+    base = math.floor(g)
+    if base == g:
+        route, groups = ("corner" if r.denominator == 1 else "e1"), _point(r, base)
     else:
-        route, groups = "e3", split_e3(K, r, c)[1]
+        # below floor(r) the next corner; above it the saturation point
+        route, upper = ("e2", base + 1) if base < math.floor(r) else ("e3", gr)
+        groups = _mix(_point(r, base), _point(r, upper), (g - base) / (upper - base))
     return ("clamp" if clamp else route), groups
-
-
-def group_divisor(K: int, r: int, g: int) -> int:
-    """File-count divisor of a basic scheme: C(K, r) * C(r, g)."""
-    return binomial(K, r) * binomial(r, g)
 
 
 def _files_needed(K: int, groups: list[GroupSpec]) -> int:
@@ -223,7 +161,6 @@ def plan_for_target(K: int, N: int, r: RationalLike, c: RationalLike) -> Composi
     return CompositePlan(
         K=K,
         N=N,
-        target_r=r,
         target_c=c,
         groups=tuple(bound),
         predicted_r=predicted_r,

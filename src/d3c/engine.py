@@ -248,7 +248,7 @@ def _bind(
     summary = {
         "type": "composite",
         "route": plan.route,
-        "target_r": str(plan.target_r),
+        "target_r": str(plan.predicted_r),
         "target_c": str(plan.target_c),
         "groups": [
             {

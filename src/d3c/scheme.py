@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .combinatorics import BatchIndex, GroupIndex, batch_size, binomial, enum_omega, enum_pi
+from .combinatorics import BatchIndex, GroupIndex, batch_size, enum_omega, enum_pi, group_divisor
 from .errors import InvalidParameterError
 
 
@@ -85,7 +85,7 @@ class SchemeParams:
     @property
     def eta(self) -> int:
         """Files per batch."""
-        return self.N // (binomial(self.K, self.r) * binomial(self.r, self.g))
+        return self.N // group_divisor(self.K, self.r, self.g)
 
 
 def make_params(

@@ -324,6 +324,60 @@ def test_size_budget_refuses_only_above_it(capsys, monkeypatch):
         assert code == 0 and out, argv
 
 
+def test_row_requests_over_budget_are_refused_from_counts(capsys):
+    # each would emit rows for seconds to hours; counted from the arguments
+    for argv, rows in (
+        (("tradeoff", "--K", "10", "--r", "4.5", "--resolution", "100000000"), 5 * 100000001 + 1),
+        (("tradeoff", "--K", "200000", "--r", "100000", "--resolution", "20"), 100001 * 21 + 1),
+        (("tradeoff", "--K", "100000", "--cstar-sweep"), 20 * 99999),
+        (("tradeoff", "--K", "100000", "--cstar-sweep", "--format", "json"), 20 * 99999),
+        (("sweep", "--K", "10", "--r", "2,9/2", "--resolution", "600000"), 3 + 5 + 2 * 600000),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (1, ""), argv
+        assert f"needs {rows} rows, over the budget" in err, argv
+
+
+def test_row_budget_refuses_only_above_it(capsys, monkeypatch):
+    import d3c.cli
+
+    for argv, rows in (
+        (("tradeoff", "--K", "10", "--r", "4.5", "--resolution", "2"), 5 * 3 + 1),
+        (("tradeoff", "--K", "10", "--r", "3", "--resolution", "2"), 4 * 3 + 1),
+        (("tradeoff", "--K", "10", "--r", "4.5", "--resolution", "50", "--format", "json"), 6),
+        (("tradeoff", "--K", "10", "--cstar-sweep"), 180),
+        (("sweep", "--K", "10", "--r", "2,4.5", "--resolution", "20"), 3 + 20 + 5 + 20),
+        (("sweep", "--K", "4", "--r", "2.5", "--c", "1,5/4,3/2"), 3 + 3),
+    ):
+        monkeypatch.setattr(d3c.cli, "SIZE_BUDGET", rows - 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"needs {rows} rows, over the budget of {rows - 1}" in err, argv
+        monkeypatch.setattr(d3c.cli, "SIZE_BUDGET", rows)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out, argv
+
+
+def test_row_budget_follows_the_argument_checks(capsys, monkeypatch):
+    import d3c.cli
+
+    monkeypatch.setattr(d3c.cli, "SIZE_BUDGET", 0)
+    for argv, message in (
+        (("tradeoff", "--K", "4"), "requires --r"),
+        (("tradeoff", "--K", "4", "--r", "9"), "need 1 <= r < 4"),
+        (("tradeoff", "--K", "1", "--r", "1"), "need at least 2 nodes"),
+        (("tradeoff", "--K", "4", "--r", "2", "--resolution", "-1"), "non-negative"),
+        (("tradeoff", "--K", "1", "--cstar-sweep"), "need --K >= 2"),
+        (("sweep", "--K", "4", "--r", "2", "--resolution", "1"), "at least 2"),
+        (("sweep", "--K", "4", "--r", "2,5"), "storage value 5 outside"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert message in err and "budget" not in err, argv
+
+
 def test_zero_value_size_is_rejected(capsys):
     base = ("--K", "3", "--N", "6", "--r", "2", "--T", "0")
     for argv in (

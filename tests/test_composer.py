@@ -1,11 +1,12 @@
-"""Fractional-target planning: splits, routing, and minimal corpus sizes."""
+"""Fractional-target planning: the chord rule, routing, and minimal corpus
+sizes."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
-from d3c.analytics import build_curve, g_r, query_load
+from d3c.analytics import build_curve, c_star, g_r, query_load
 from d3c.composer import (
     basic_communication,
     basic_computation,
@@ -13,9 +14,6 @@ from d3c.composer import (
     minimal_files,
     plan_for_target,
     safe_iva_bits,
-    split_e1,
-    split_e2,
-    split_e3,
 )
 from d3c.errors import DivisibilityError, InvalidParameterError
 
@@ -24,21 +22,37 @@ def groups_as_tuples(groups):
     return [(sp.fraction, sp.r, sp.g) for sp in groups]
 
 
+def plan_at(K, r, c):
+    """The plan for (r, c) bound to its smallest admissible corpus."""
+    return plan_for_target(K, minimal_files(K, r, c), r, c)
+
+
+def plan_at_g(K, r, g):
+    """The plan whose computation budget implies coding parameter g."""
+    return plan_at(K, r, basic_computation(K, Fraction(r), Fraction(g)))
+
+
+def weight(plan, keep):
+    """Total fraction of the plan's groups for which keep(group) holds."""
+    return sum(sp.fraction for sp in plan.groups if keep(sp))
+
+
 def test_storage_split_examples():
-    alpha, groups = split_e1(10, "4.5", 2)
-    assert alpha == Fraction(1, 2)
-    assert groups_as_tuples(groups) == [
+    plan = plan_at_g(10, Fraction(9, 2), 2)
+    assert plan.route == "e1"
+    assert weight(plan, lambda sp: sp.r == 5) == Fraction(1, 2)  # alpha
+    assert groups_as_tuples(plan.groups) == [
         (Fraction(1, 2), 4, 2),
         (Fraction(1, 2), 5, 2),
     ]
 
-    alpha, groups = split_e1(10, 4, 2)
-    assert alpha == 0
-    assert groups_as_tuples(groups) == [(Fraction(1), 4, 2)]
+    plan = plan_at_g(10, 4, 2)
+    assert plan.route == "corner"
+    assert groups_as_tuples(plan.groups) == [(Fraction(1), 4, 2)]
 
-    alpha, groups = split_e1(3, "1.5", 1)
-    assert alpha == Fraction(1, 2)
-    assert groups_as_tuples(groups) == [
+    plan = plan_at_g(3, Fraction(3, 2), 1)
+    assert plan.route == "e1"
+    assert groups_as_tuples(plan.groups) == [
         (Fraction(1, 2), 1, 1),
         (Fraction(1, 2), 2, 1),
     ]
@@ -47,51 +61,48 @@ def test_storage_split_examples():
 def test_storage_split_weighted_identities():
     for r in (Fraction(9, 2), Fraction(17, 6), Fraction(2)):
         for g in range(1, math.floor(r) + 1):
-            _, groups = split_e1(10, r, g)
-            assert sum(sp.fraction for sp in groups) == 1
-            assert sum(sp.fraction * sp.r for sp in groups) == r
-            c = sum(sp.fraction * basic_computation(10, sp.r, sp.g) for sp in groups)
-            assert c == Fraction(r, 10) + (1 - Fraction(r, 10)) * g
-            L = sum(sp.fraction * basic_communication(10, sp.r, sp.g) for sp in groups)
-            assert L == (1 - Fraction(r, 10)) / g
-
-
-def test_storage_split_rejects_large_g():
-    with pytest.raises(InvalidParameterError):
-        split_e1(10, "4.5", 5)
+            plan = plan_at_g(10, r, g)
+            assert plan.route in {"corner", "e1"}
+            assert {sp.g for sp in plan.groups} == {g}
+            assert sum(sp.fraction for sp in plan.groups) == 1
+            assert sum(sp.fraction * sp.r for sp in plan.groups) == r
+            c = sum(sp.fraction * basic_computation(10, sp.r, sp.g) for sp in plan.groups)
+            assert c == plan.predicted_c == Fraction(r, 10) + (1 - Fraction(r, 10)) * g
+            L = sum(sp.fraction * basic_communication(10, sp.r, sp.g) for sp in plan.groups)
+            assert L == plan.predicted_L == (1 - Fraction(r, 10)) / g
 
 
 def test_coding_split_examples():
-    beta, groups = split_e2(10, "4.5", "1.5")
-    assert beta == Fraction(1, 2)
-    assert groups_as_tuples(groups) == [
+    plan = plan_at_g(10, Fraction(9, 2), Fraction(3, 2))
+    assert plan.route == "e2"
+    assert weight(plan, lambda sp: sp.g == 2) == Fraction(1, 2)  # beta
+    assert groups_as_tuples(plan.groups) == [
         (Fraction(1, 4), 4, 1),
         (Fraction(1, 4), 5, 1),
         (Fraction(1, 4), 4, 2),
         (Fraction(1, 4), 5, 2),
     ]
 
-    beta, groups = split_e2(10, "4.5", 2)
-    assert beta == 0
-    assert len(groups) == 2
+    plan = plan_at_g(10, Fraction(9, 2), 2)
+    assert plan.route == "e1"
+    assert len(plan.groups) == 2
 
-    beta, groups = split_e2(4, 3, "2.25")
-    assert beta == Fraction(1, 4)
-    assert groups_as_tuples(groups) == [
+    plan = plan_at_g(4, 3, Fraction(9, 4))
+    assert plan.route == "e2"
+    assert weight(plan, lambda sp: sp.g == 3) == Fraction(1, 4)  # beta
+    assert groups_as_tuples(plan.groups) == [
         (Fraction(3, 4), 3, 2),
         (Fraction(1, 4), 3, 3),
     ]
 
 
-def test_coding_split_rejects_saturation_range():
-    with pytest.raises(InvalidParameterError, match="saturation"):
-        split_e2(10, "4.5", "4.2")
-
-
 def test_saturation_split_endpoint():
-    theta, groups = split_e3(10, "4.5", "2.9")
-    assert theta == Fraction(1, 2)
-    assert groups_as_tuples(groups) == [
+    c = c_star(10, Fraction(9, 2))
+    assert c == Fraction(29, 10)
+    plan = plan_at(10, Fraction(9, 2), c)
+    assert plan.route == "e3"
+    assert weight(plan, lambda sp: (sp.r, sp.g) == (5, 5)) == Fraction(1, 2)  # theta
+    assert groups_as_tuples(plan.groups) == [
         (Fraction(1, 2), 4, 4),
         (Fraction(1, 2), 5, 5),
     ]
@@ -100,21 +111,12 @@ def test_saturation_split_endpoint():
 def test_saturation_split_interior():
     r = Fraction(5, 2)
     c = Fraction(5, 8) + Fraction(3, 8) * Fraction(11, 5)  # implied g = 2.2
-    theta, groups = split_e3(4, r, c)
-    assert theta == Fraction(3, 10)
-    assert sum(sp.fraction * sp.r for sp in groups) == r
-    assert sum(sp.fraction * basic_computation(4, sp.r, sp.g) for sp in groups) == c
+    plan = plan_at(4, r, c)
+    assert plan.route == "e3"
+    assert sum(sp.fraction * sp.r for sp in plan.groups) == r
+    assert sum(sp.fraction * basic_computation(4, sp.r, sp.g) for sp in plan.groups) == c
     # the full group carries weight theta at (ceil(r), ceil(r))
-    assert (theta, 3, 3) in groups_as_tuples(groups)
-
-
-def test_saturation_split_errors():
-    with pytest.raises(InvalidParameterError, match="fractional"):
-        split_e3(10, 4, 3)
-    with pytest.raises(InvalidParameterError, match="ceil"):
-        split_e3(3, "2.5", "7/6")
-    with pytest.raises(InvalidParameterError, match="outside"):
-        split_e3(10, "4.5", 2)  # implied g below floor(r)
+    assert (Fraction(3, 10), 3, 3) in groups_as_tuples(plan.groups)
 
 
 def test_route_labels_partition_the_domain():
@@ -157,16 +159,18 @@ def test_predictions_match_curve_on_pre_saturation_routes():
 
 
 def test_unique_split_parameters_recoverable_from_plans():
-    alpha, groups = split_e1(10, "4.5", 3)
-    assert sum(sp.fraction for sp in groups if sp.r == 5) == alpha
+    alpha = weight(plan_at_g(10, Fraction(9, 2), 3), lambda sp: sp.r == 5)
+    assert alpha == Fraction(1, 2)
 
-    beta, groups = split_e2(10, "4.5", "2.5")
-    assert sum(sp.fraction for sp in groups if sp.g == 3) == beta
+    beta = weight(plan_at_g(10, Fraction(9, 2), Fraction(5, 2)), lambda sp: sp.g == 3)
+    assert beta == Fraction(1, 2)
 
-    theta, groups = split_e3(10, "4.5", "2.8")
-    assert sum(sp.fraction for sp in groups if (sp.r, sp.g) == (5, 5)) == theta
-    # and theta solves the computation-budget equation
-    c = sum(sp.fraction * basic_computation(10, sp.r, sp.g) for sp in groups)
+    plan = plan_at(10, Fraction(9, 2), Fraction(14, 5))
+    assert plan.route == "e3"
+    theta = weight(plan, lambda sp: (sp.r, sp.g) == (5, 5))
+    # theta solves the computation-budget equation
+    c = sum(sp.fraction * basic_computation(10, sp.r, sp.g) for sp in plan.groups)
+    assert c == Fraction(14, 5)
     assert c == Fraction(9, 20) + Fraction(11, 20) * (4 + theta * Fraction(5, Fraction(11, 2)))
 
 

@@ -90,7 +90,8 @@ def cli_argv(draw):
     execute = command == "sweep" and draw(st.booleans())
     # an executed sweep at K <= 3 plans at most 456 files per point, and
     # verify checks every scheme up to its --K; counts past the size budget
-    # (verify from --K 11 on, N * K over 2^20) are refused before any build
+    # (verify from --K 11 on, N * K over 2^20, a --resolution of 2^20 rows
+    # or more) are refused before any build
     top = 3 if execute else 4 if command == "verify" else 6
     nodes = st.integers(-1, top)
     if command == "verify":
@@ -98,9 +99,10 @@ def cli_argv(draw):
     argv = [command, "--K", str(draw(nodes))]
     if command in ("simulate", "compare", "inspect"):
         argv += ["--N", str(draw(st.one_of(st.integers(-1, 120), st.integers(2**20 + 1, 2**40))))]
+    resolutions = st.one_of(small_ints, st.integers(2**20, 2**40))
     if command == "tradeoff":
         argv += draw(st.one_of(_flag("r", rationals), st.just(["--cstar-sweep"])))
-        argv += draw(_flag("resolution", small_ints))
+        argv += draw(_flag("resolution", resolutions))
     elif command == "simulate":
         argv += ["--r", draw(rationals)] + draw(_flag("c", rationals)) + draw(_flag("g", small_ints))
         argv += draw(_flag("B", st.integers(-8, 64)))
@@ -109,7 +111,7 @@ def cli_argv(draw):
         argv += draw(_flag("g", st.lists(small_ints.map(str), min_size=1, max_size=2).map(",".join)))
     elif command == "sweep":
         lists = st.lists(rationals, min_size=1, max_size=2).map(",".join)
-        argv += ["--r", draw(lists)] + draw(_flag("c", lists)) + draw(_flag("resolution", small_ints))
+        argv += ["--r", draw(lists)] + draw(_flag("c", lists)) + draw(_flag("resolution", resolutions))
         argv += ["--execute"] if execute else []
     elif command == "inspect":
         argv += ["--r", str(draw(small_ints))] + draw(_flag("g", small_ints))
@@ -125,6 +127,7 @@ def cli_argv(draw):
 @example(["inspect", "--K", "70", "--N", "6", "--r", "35", "--g", "1"])
 @example(["simulate", "--K", "100", "--N", "6", "--r", "50", "--g", "1"])
 @example(["tradeoff", "--cstar-sweep", "--K", "1"])
+@example(["tradeoff", "--K", "4", "--r", "2", "--resolution", str(2**40)])
 @example(["sweep", "--K", "4", "--r", "2", "--format", "json"])
 @example(["simulate", "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--format", "csv"])
 def test_cli_always_ends_in_an_exit_code(argv):
