@@ -5,9 +5,10 @@ DEMO 5: END-TO-END RUN WITH INFORMATION-FLOW AUDIT AND SIGNAL TRACE
 
 The engine simulates the nodes inside one process, but isolation is real:
 every file read goes through a per-node gate that only admits the node's
-placed files, and every signal lookup checks the delivered store. Audit
-mode records each access, so a finished report can prove that decoding
-used nothing beyond placement plus broadcast.
+placed files, and every signal lookup checks the delivered store. An
+access outside the plan raises and ends the run, so a finished report had
+none: decoding used nothing beyond placement plus broadcast. Audit mode
+counts the file reads and signal lookups.
 
 The signal trace is a JSON-lines stream (sender, group, bit length, payload
 digest) suitable for diffing two implementations of the same exchange.

@@ -167,6 +167,11 @@ def build_curve(K: int, r: RationalLike) -> TradeoffCurve:
     return TradeoffCurve(K, r, tuple(points))
 
 
+def _chord(a: CornerPoint, b: CornerPoint, c: Fraction) -> Fraction:
+    """Load at c on the segment from point a to point b, exactly."""
+    return a.L + (b.L - a.L) * (c - a.c) / (b.c - a.c)
+
+
 def query_load(curve: TradeoffCurve, c: RationalLike) -> Fraction:
     """Envelope load at computation budget c, by exact linear interpolation;
     constant at the saturation value for c >= c_star."""
@@ -176,10 +181,9 @@ def query_load(curve: TradeoffCurve, c: RationalLike) -> Fraction:
     points = curve.points
     if c >= points[-1].c:
         return points[-1].L
-    for a, b in zip(points, points[1:]):
-        if a.c <= c <= b.c:
-            return a.L + (b.L - a.L) * (c - a.c) / (b.c - a.c)
-    raise InvalidParameterError(f"computation load {c} below the first corner")
+    # the first point sits at c = 1, so some segment holds c
+    a, b = next((a, b) for a, b in zip(points, points[1:]) if c <= b.c)
+    return _chord(a, b, c)
 
 
 def curve_rows(curve: TradeoffCurve, samples: int = 0) -> list[tuple[Fraction, Fraction, str]]:
@@ -193,7 +197,7 @@ def curve_rows(curve: TradeoffCurve, samples: int = 0) -> list[tuple[Fraction, F
         rows.append((a.c, a.L, "corner"))
         for i in range(1, samples + 1):
             c = a.c + (b.c - a.c) * Fraction(i, samples + 1)
-            rows.append((c, query_load(curve, c), "chord"))
+            rows.append((c, _chord(a, b, c), "chord"))
     rows.append((points[-1].c, points[-1].L, "corner"))
     if curve.r > points[-1].c:
         for i in range(1, samples + 1):

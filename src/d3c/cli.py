@@ -395,10 +395,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except DivisibilityError as err:
-        msg = str(err)
-        if err.min_files is not None and "smallest admissible" not in msg:
-            msg += f" (smallest admissible file count: {err.min_files})"
-        print(f"d3c: infeasible: {msg}", file=sys.stderr)
+        print(f"d3c: infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (InvalidParameterError, OverflowError) as err:
         print(f"d3c: error: {err}", file=sys.stderr)

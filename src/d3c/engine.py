@@ -3,8 +3,8 @@
 Nodes are logical entities in one process. Isolation is enforced by
 construction: every file or signal access goes through a per-node view that
 admits only the node's placed files and the signals actually delivered to
-it. Audit mode additionally records each access so a run can prove that no
-information flowed outside the scheme's plan.
+it. An access outside the plan ends the run with ``ExecutionError``, so a
+run that finishes had none; audit mode reports the two access counters.
 
 All randomness comes from one explicit seed; reports contain no wall-clock
 fields, so identical inputs serialize byte-identically.
@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from random import Random
 from typing import IO, Callable, Sequence
 
 from .analytics import basic_communication, basic_computation
 from .bits import BitString
-from .composer import CompositePlan, safe_iva_bits
+from .composer import CompositePlan
 from .errors import ExecutionError, InvalidParameterError
 from .scheme import (
     BasicScheme,
@@ -77,22 +77,16 @@ _FIRST_KEY = {domain: domain + bytes(8) for domain in (b"map", b"reduce")}
 
 
 def _digest_bits(domain: bytes, payload: bytes, nbits: int) -> BitString:
-    """Keyed digest stream truncated to nbits (counter mode for long outputs).
+    """Keyed digest stream truncated to nbits (counter mode).
 
-    Block c is keyed with ``domain`` followed by c as 8 big-endian bytes. Up
-    to 512 bits, block 0 alone is the stream: one call, then a shift.
+    Block c is keyed with ``domain`` followed by c as 8 big-endian bytes; the
+    stream is blocks 0, 1, ... joined, cut to its first nbits bits.
     """
-    if nbits <= 512:
-        h = hashlib.blake2b(payload, digest_size=64, key=_FIRST_KEY[domain])
-        return BitString._of(int.from_bytes(h.digest(), "big") >> (512 - nbits), nbits)
-    nbytes = (nbits + 7) // 8
-    out = bytearray()
-    counter = 0
-    while len(out) < nbytes:
-        h = hashlib.blake2b(payload, digest_size=64, key=domain + counter.to_bytes(8, "big"))
-        out += h.digest()
-        counter += 1
-    return BitString.from_bytes(bytes(out[:nbytes]), nbits)
+    stream = hashlib.blake2b(payload, digest_size=64, key=_FIRST_KEY[domain]).digest()
+    while len(stream) * 8 < nbits:
+        key = domain + (len(stream) // 64).to_bytes(8, "big")  # the next block's counter
+        stream += hashlib.blake2b(payload, digest_size=64, key=key).digest()
+    return BitString._of(int.from_bytes(stream, "big") >> (len(stream) * 8 - nbits), nbits)
 
 
 def default_suite(T: int, B: int | None = None) -> FunctionSuite:
@@ -130,19 +124,6 @@ def oracle(corpus: Corpus, suite: FunctionSuite, K: int) -> list[BitString]:
 class _Auditor:
     file_reads: int = 0
     signal_reads: int = 0
-    violations: list[dict] = field(default_factory=list)
-
-    def file_access(self, node: int, file_id: int, allowed: bool) -> None:
-        if allowed:
-            self.file_reads += 1
-        else:
-            self.violations.append({"node": node, "kind": "file", "id": file_id})
-
-    def signal_access(self, node: int, key, allowed: bool) -> None:
-        if allowed:
-            self.signal_reads += 1
-        else:
-            self.violations.append({"node": node, "kind": "signal", "id": repr(key)})
 
 
 class _NodeFiles:
@@ -157,28 +138,27 @@ class _NodeFiles:
         self.auditor = auditor
 
     def read(self, file_id: int) -> bytes:
-        ok = file_id in self.allowed
-        self.auditor.file_access(self.node, file_id, ok)
-        if not ok:
+        if file_id not in self.allowed:
             raise ExecutionError(
                 f"node {self.node} attempted to read file {file_id} outside its storage"
             )
+        self.auditor.file_reads += 1
         return self.corpus.files[file_id - 1]
 
 
 class _NodeSignals:
-    """Per-node view of the delivered signals that audits every lookup."""
+    """Per-node view of the delivered signals that counts every lookup found."""
 
-    __slots__ = ("node", "delivered", "auditor")
+    __slots__ = ("delivered", "auditor")
 
-    def __init__(self, node: int, delivered: dict, auditor: _Auditor):
-        self.node = node
+    def __init__(self, delivered: dict, auditor: _Auditor):
         self.delivered = delivered
         self.auditor = auditor
 
     def get(self, key, default=None):
         found = self.delivered.get(key, default)
-        self.auditor.signal_access(self.node, key, found is not None)
+        if found is not None:
+            self.auditor.signal_reads += 1
         return found
 
 
@@ -234,17 +214,15 @@ class ExecutionReport:
 
 
 def _bind(
-    plan: BasicScheme | CompositePlan, F: int, suite: FunctionSuite | None
+    plan: BasicScheme | CompositePlan, F: int, T: int
 ) -> tuple[dict, list[tuple[BasicScheme, int]]]:
     """The report's plan summary and the (scheme, file offset) groups to run.
 
     A basic scheme is one group at offset 0; a composite plan's groups are
-    built with the corpus file size and the suite's value size (or the
-    plan's safe size when no suite is given).
+    built with the corpus file size F and the suite's value size T.
     """
     if isinstance(plan, BasicScheme):
         return {"type": plan.kind, "r": plan.params.r, "g": plan.params.g}, [(plan, 0)]
-    T = suite.iva_bits if suite else safe_iva_bits(plan)
     summary = {
         "type": "composite",
         "route": plan.route,
@@ -293,15 +271,16 @@ def _signal_overhead_bits(K: int, group_i: int, group_j: int) -> int:
 def execute(
     plan: BasicScheme | CompositePlan,
     corpus: Corpus,
-    suite: FunctionSuite | None = None,
+    suite: FunctionSuite,
     *,
     audit: bool = False,
     trace: IO[str] | None = None,
 ) -> ExecutionReport:
     """Run map, shuffle, and reduce under ``plan`` and verify against the
-    centralized oracle. Raises only on plan/corpus mismatch or internal
-    inconsistency; a wrong output is reported, not raised."""
-    summary, groups = _bind(plan, corpus.F, suite)
+    centralized oracle. ``suite`` is required: its value size is the run's
+    T. Raises on plan/corpus/suite mismatch, on any access outside the plan
+    and on internal inconsistency; a wrong output is reported, not raised."""
+    summary, groups = _bind(plan, corpus.F, suite.iva_bits)
     first = groups[0][0].params
     K, F, T = first.K, first.F, first.T
     N_total = sum(scheme.params.N for scheme, _ in groups)
@@ -311,8 +290,6 @@ def execute(
         )
     if corpus.F != F:
         raise InvalidParameterError(f"corpus file size {corpus.F} != plan file size {F}")
-    if suite is None:
-        suite = default_suite(T)
     if suite.iva_bits != T:
         raise InvalidParameterError(
             f"suite produces {suite.iva_bits}-bit values but the plan assumes {T}"
@@ -364,7 +341,7 @@ def execute(
             )
 
         for k in nodes:
-            signal_view = _NodeSignals(k, delivered[k], auditor)
+            signal_view = _NodeSignals(delivered[k], auditor)
             try:
                 values = decode_node(k, scheme, computed[k], signal_view)
             except Exception as err:
@@ -414,7 +391,7 @@ def execute(
         audit_summary = {
             "file_reads": auditor.file_reads,
             "signal_reads": auditor.signal_reads,
-            "violations": auditor.violations,
+            "violations": [],  # an access outside the plan raises instead
         }
     return ExecutionReport(
         K=K,

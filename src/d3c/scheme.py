@@ -101,22 +101,30 @@ def make_params(
 class BasicScheme:
     """A placement plus one compute rule.
 
-    ``batches`` maps each batch index (s, t) to its file ids; ``storage``
-    holds each node's stored file set M_k. ``kind`` names the rule that
-    ``targets`` applies on each stored batch: "d3c" maps node k's own
-    function, and every function outside s when k is in t; "cdc" maps every
-    function. ``compute_own`` and ``compute_coded`` are views derived from
-    the rule: the values of k's own function and of the others, as sorted
-    IvaId tuples.
+    ``batches`` maps each batch index (s, t) to its file ids; ``storage``,
+    each node's stored files M_k, is derived from it. ``kind`` names the
+    rule that ``targets`` applies on each stored batch: "d3c" maps node k's
+    own function, and every function outside s when k is in t; "cdc" maps
+    every function. ``compute_own`` and ``compute_coded`` are views derived
+    from the rule: the values of k's own function and of the others, as
+    sorted IvaId tuples.
     """
 
     params: SchemeParams
     batches: dict[BatchIndex, tuple[int, ...]]
-    storage: dict[int, tuple[int, ...]]
     kind: str = "d3c"
 
     def __post_init__(self):
         self.coding  # built once, with the scheme, before any exchange reads it
+
+    @cached_property
+    def storage(self) -> dict[int, tuple[int, ...]]:
+        """Each node's files M_k: the files of every batch whose s holds k,
+        in batch order, which is ascending under ``_placement``."""
+        return {
+            k: tuple(n for batch, files in self.batches.items() if k in batch.s for n in files)
+            for k in range(1, self.params.K + 1)
+        }
 
     def targets(self, k: int, batch: BatchIndex) -> tuple[int, ...]:
         """Functions node k maps on every file of a batch it stores."""
@@ -163,38 +171,31 @@ class BasicScheme:
                 for q in self.targets(k, batch) if (q == k) == own
                 for n in files
             ))
-            for k in self.storage
+            for k in range(1, self.params.K + 1)
         }
 
 
-def _placement(params: SchemeParams) -> tuple[dict, dict]:
-    """Assign files to batches in enumeration order and derive storage sets."""
+def _placement(params: SchemeParams) -> dict[BatchIndex, tuple[int, ...]]:
+    """Assign files to batches in enumeration order."""
     eta = params.eta
     batches: dict[BatchIndex, tuple[int, ...]] = {}
     next_file = 1
     for index in enum_omega(params.K, params.r, params.g):
         batches[index] = tuple(range(next_file, next_file + eta))
         next_file += eta
-    storage = {}
-    for k in range(1, params.K + 1):
-        stored: list[int] = []
-        for index, files in batches.items():
-            if k in index.s:
-                stored.extend(files)
-        storage[k] = tuple(sorted(stored))
-    return batches, storage
+    return batches
 
 
 def build_basic_scheme(params: SchemeParams) -> BasicScheme:
     """The coded scheme: its placement, computed under the d3c rule."""
-    return BasicScheme(params, *_placement(params))
+    return BasicScheme(params, _placement(params))
 
 
 def build_cdc_scheme(K: int, N: int, r: int, *, F: int = 64, T: int | None = None) -> BasicScheme:
     """Baseline scheme: the placement of g = r, but every node maps every
     function on every file it stores (load r)."""
     params = make_params(K, N, r, r, F=F, T=T)
-    return BasicScheme(params, *_placement(params), kind="cdc")
+    return BasicScheme(params, _placement(params), kind="cdc")
 
 
 def measure_storage(scheme: BasicScheme) -> Fraction:

@@ -5,6 +5,7 @@ actually constructed schemes, not just against the closed forms.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -269,3 +270,13 @@ def test_curve_rows_kinds_and_resolution():
     assert single == [(Fraction(1), Fraction(5, 6), "corner")]
     with pytest.raises(InvalidParameterError, match="resolution must be non-negative"):
         curve_rows(build_curve(10, "4.5"), -1)
+
+
+def test_curve_rows_cost_does_not_grow_with_the_point_count():
+    # 500 segments of 100 samples: each sample is read off its own segment,
+    # not found again by scanning the curve from its first point
+    curve = build_curve(1000, 500)
+    start = time.perf_counter()
+    rows = curve_rows(curve, 100)
+    assert time.perf_counter() - start < 5
+    assert len(rows) == 500 * 101 + 1

@@ -19,7 +19,7 @@ from d3c.engine import (
     generate_corpus,
     oracle,
 )
-from d3c.errors import ExecutionError, InvalidParameterError
+from d3c.errors import DecodeError, ExecutionError, InvalidParameterError
 from d3c.scheme import build_basic_scheme, build_cdc_scheme, make_params
 from d3c.shuffle import MulticastSignal
 
@@ -203,10 +203,9 @@ def test_out_of_placement_read_is_blocked_and_recorded():
     auditor = _Auditor()
     view = _NodeFiles(1, corpus, {1, 2}, auditor)
     assert view.read(2) == corpus.files[1]
-    with pytest.raises(ExecutionError):
+    with pytest.raises(ExecutionError, match="node 1 attempted to read file 3"):
         view.read(3)
-    assert auditor.violations == [{"node": 1, "kind": "file", "id": 3}]
-    assert auditor.file_reads == 1
+    assert auditor.file_reads == 1  # the refused read is not counted
 
 
 def test_trace_stream():
@@ -262,3 +261,28 @@ def test_flipped_signal_bit_fails_verification(monkeypatch):
     assert report.first_mismatch["node"] == receiver
     argv = ["simulate", "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--T", "8"]
     assert main(argv) == 3
+
+
+def test_missing_signal_ends_the_run(monkeypatch):
+    import d3c.engine
+
+    receiver = 3
+    real_run_shuffle = d3c.engine.run_shuffle
+    dropped = []
+
+    def dropping_run_shuffle(scheme, computed):
+        delivered, bits = real_run_shuffle(scheme, computed)
+        # a signal whose coding set holds the receiver, so it decodes with it
+        key = next(key for key in sorted(delivered[receiver]) if receiver in key[1].j)
+        del delivered[receiver][key]
+        dropped.append(key)
+        return delivered, bits
+
+    monkeypatch.setattr(d3c.engine, "run_shuffle", dropping_run_shuffle)
+    with pytest.raises(ExecutionError, match=f"decode failed at node {receiver}:") as info:
+        run_basic(3, 6, 2, 2, T=8, audit=True)
+    (sender, group), = dropped
+    cause = info.value.__cause__
+    assert isinstance(cause, DecodeError)
+    assert cause.batch == group.requested_by(receiver)
+    assert cause.owner == sender
