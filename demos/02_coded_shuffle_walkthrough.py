@@ -47,8 +47,8 @@ for record in signal_trace_records(signals):
     print(f"  sender {record['sender']}  group ({record['group_i']}, {record['group_j']})"
           f"  {record['bit_length']} bits  digest {record['payload_digest']}")
 
-check = computed[1][IvaId(2, 3)].xor(computed[1][IvaId(3, 1)])
-assert signals[0].payload == check
+check = computed[1][IvaId(2, 3)] ^ computed[1][IvaId(3, 1)]
+assert signals[0].payload.value == check
 print("\n  node 1's payload equals v(2,3) XOR v(3,1):", signals[0].payload.to_bytes().hex())
 
 print("\n" + "=" * 80)
@@ -62,9 +62,7 @@ print(f"\n  total payload on the channel: {total_bits} bits"
 values = decode_node(1, scheme, computed[1], delivered[1])
 direct_5 = suite.map_fn(1, 5, corpus.files[4])
 direct_6 = suite.map_fn(1, 6, corpus.files[5])
-print(f"  node 1 decoded v(1,5) = {values[5].to_bytes().hex()}"
-      f"  (direct map: {direct_5.to_bytes().hex()})")
-print(f"  node 1 decoded v(1,6) = {values[6].to_bytes().hex()}"
-      f"  (direct map: {direct_6.to_bytes().hex()})")
+print(f"  node 1 decoded v(1,5) = {values[5]:02x}  (direct map: {direct_5:02x})")
+print(f"  node 1 decoded v(1,6) = {values[6]:02x}  (direct map: {direct_6:02x})")
 assert values[5] == direct_5 and values[6] == direct_6
 print("\n  decoded values are bit-identical to direct computation.")

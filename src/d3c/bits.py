@@ -1,8 +1,8 @@
 """Fixed-length bit strings with whole-bit slicing, XOR, and concatenation.
 
-Payloads in the shuffle phase are sized in bits, not bytes (an intermediate
-value may be e.g. 12 bits), so every value carries an explicit bit length.
-Bit 0 is the most significant bit; concatenation appends on the right.
+Signal payloads and reduce outputs are sized in bits, not bytes (a payload
+may be e.g. 12 bits), so every one carries an explicit bit length. Bit 0 is
+the most significant bit; concatenation appends on the right.
 """
 
 from __future__ import annotations
@@ -38,16 +38,6 @@ class BitString:
         _set_length(self, length)
         return self
 
-    @classmethod
-    def from_bytes(cls, data: bytes, length: int | None = None) -> "BitString":
-        """Interpret ``data`` big-endian; keep the first ``length`` bits."""
-        nbits = 8 * len(data)
-        if length is None:
-            length = nbits
-        if length > nbits:
-            raise InvalidParameterError(f"need {length} bits, got {nbits}")
-        return cls(int.from_bytes(data, "big") >> (nbits - length), length)
-
     def to_bytes(self) -> bytes:
         """Big-endian bytes; the final partial byte is padded with low zeros."""
         nbytes = (self.length + 7) // 8
@@ -59,9 +49,6 @@ class BitString:
                 f"xor length mismatch: {self.length} vs {other.length}"
             )
         return BitString(self.value ^ other.value, self.length)
-
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString((self.value << other.length) | other.value, self.length + other.length)
 
     @classmethod
     def join(cls, parts: Iterable["BitString"]) -> "BitString":

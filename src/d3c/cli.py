@@ -325,7 +325,7 @@ def _cmd_verify(args) -> int:
         c_ok = measured.computation_load == predicted["computation_load"]
         l_ok = measured.communication_load == predicted["communication_load"]
         d_ok = report.verification_passed
-        ok = c_ok and l_ok and d_ok
+        ok = _passed(report)
         all_ok &= ok
         # flags as "true"/"false" strings, which the JSON form has always printed
         rows.append([K, r, g, N, *map(_csv_cell, (c_ok, l_ok, d_ok, ok))])
@@ -369,8 +369,7 @@ def _cmd_sweep(args) -> int:
             report = engine.execute(plan, corpus, engine.default_suite(T))
             measured = report.measured.communication_load
             verified = report.verification_passed
-            all_ok &= report.verification_passed
-            all_ok &= report.measured.communication_load == predicted
+            all_ok &= _passed(report) and measured == predicted
         rows.append([r, c, predicted, measured, verified])
     _write_table(args, ["r", "c", "predicted_L", "measured_L", "verified"], rows)
     return EXIT_OK if all_ok else EXIT_VERIFICATION

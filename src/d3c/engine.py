@@ -61,13 +61,13 @@ def generate_corpus(N: int, F: int, seed: int) -> Corpus:
 class FunctionSuite:
     """Map/reduce pair with fixed value sizes.
 
-    ``map_fn(target, file_id, file_bytes)`` yields the T-bit intermediate
-    value; ``reduce_fn(target, values)`` consumes the N values in ascending
-    file order and yields the B-bit output.
+    ``map_fn(target, file_id, file_bytes)`` yields the intermediate value as
+    an int below ``2**iva_bits``; ``reduce_fn(target, values)`` consumes the
+    N value ints in ascending file order and yields the B-bit output.
     """
 
-    map_fn: Callable[[int, int, bytes], BitString]
-    reduce_fn: Callable[[int, Sequence[BitString]], BitString]
+    map_fn: Callable[[int, int, bytes], int]
+    reduce_fn: Callable[[int, Sequence[int]], BitString]
     iva_bits: int
     output_bits: int
 
@@ -76,8 +76,8 @@ class FunctionSuite:
 _FIRST_KEY = {domain: domain + bytes(8) for domain in (b"map", b"reduce")}
 
 
-def _digest_bits(domain: bytes, payload: bytes, nbits: int) -> BitString:
-    """Keyed digest stream truncated to nbits (counter mode).
+def _digest_bits(domain: bytes, payload: bytes, nbits: int) -> int:
+    """Keyed digest stream truncated to nbits (counter mode), as an int.
 
     Block c is keyed with ``domain`` followed by c as 8 big-endian bytes; the
     stream is blocks 0, 1, ... joined, cut to its first nbits bits.
@@ -86,7 +86,7 @@ def _digest_bits(domain: bytes, payload: bytes, nbits: int) -> BitString:
     while len(stream) * 8 < nbits:
         key = domain + (len(stream) // 64).to_bytes(8, "big")  # the next block's counter
         stream += hashlib.blake2b(payload, digest_size=64, key=key).digest()
-    return BitString._of(int.from_bytes(stream, "big") >> (len(stream) * 8 - nbits), nbits)
+    return int.from_bytes(stream, "big") >> (len(stream) * 8 - nbits)
 
 
 def default_suite(T: int, B: int | None = None) -> FunctionSuite:
@@ -96,15 +96,18 @@ def default_suite(T: int, B: int | None = None) -> FunctionSuite:
     if T < 1 or B < 1:
         raise InvalidParameterError("value sizes must be positive")
 
-    def map_fn(target: int, file_id: int, data: bytes) -> BitString:
+    def map_fn(target: int, file_id: int, data: bytes) -> int:
         key = target.to_bytes(4, "big") + file_id.to_bytes(8, "big")
         return _digest_bits(b"map", key + data, T)
 
-    def reduce_fn(target: int, values: Sequence[BitString]) -> BitString:
+    # a value enters the blob as its 4-byte bit length, then its bits padded to whole bytes
+    length, pad, nbytes = T.to_bytes(4, "big"), -T % 8, (T + 7) // 8
+
+    def reduce_fn(target: int, values: Sequence[int]) -> BitString:
         blob = bytearray(target.to_bytes(4, "big"))
         for v in values:
-            blob += v.length.to_bytes(4, "big") + v.to_bytes()
-        return _digest_bits(b"reduce", bytes(blob), B)
+            blob += length + (v << pad).to_bytes(nbytes, "big")
+        return BitString._of(_digest_bits(b"reduce", blob, B), B)
 
     return FunctionSuite(map_fn, reduce_fn, T, B)
 
@@ -310,12 +313,13 @@ def execute(
     computed_values = {k: 0 for k in nodes}
     sent_signals = {k: 0 for k in nodes}
     sent_bits = {k: 0 for k in nodes}
-    collected: dict[int, dict[int, BitString]] = {k: {} for k in nodes}
+    # each node's reduce input, indexed by global file id - 1
+    collected: dict[int, list[int | None]] = {k: [None] * N_total for k in nodes}
 
     for scheme, offset in groups:
         # keyed by plain (target, file) tuples, which hash and compare equal
         # to IvaId, so IvaId lookups still find every value
-        computed: dict[int, dict[IvaId, BitString]] = {k: {} for k in nodes}
+        computed: dict[int, dict[IvaId, int]] = {k: {} for k in nodes}
         for batch, files in scheme.batches.items():
             for k in batch.s:
                 store, view = computed[k], file_views[k]
@@ -347,12 +351,14 @@ def execute(
             except Exception as err:
                 raise ExecutionError(f"decode failed at node {k}: {err}") from err
             for local_n, value in values.items():
-                collected[k][offset + local_n] = value
+                collected[k][offset + local_n - 1] = value
 
     outputs = []
     for k in nodes:
-        values = [collected[k][n] for n in range(1, N_total + 1)]
-        outputs.append(suite.reduce_fn(k, values))
+        if None in collected[k]:
+            missing = collected[k].index(None) + 1
+            raise ExecutionError(f"node {k} has no value of file {missing} to reduce")
+        outputs.append(suite.reduce_fn(k, collected[k]))
 
     truth = oracle(corpus, suite, K)
     first_mismatch = None

@@ -11,8 +11,9 @@ and what is left is its missing segment. Both ends read who requests which
 batch, and who owns its segments, from the scheme's coding table
 (``BasicScheme.coding``). A block is an int, its values joined in file
 order; ``_blocks`` is the only block builder, ``_segment`` the only cut and
-``_xor_known`` the only XOR over the known terms. ``BitString`` wraps each
-payload and each decoded value once.
+``_xor_known`` the only XOR over the known terms. An intermediate value is
+an int below 2**T, from the computed stores through the decoded result;
+``BitString`` wraps only each signal payload, once.
 
 Only payload bits count toward the communication load; simulation metadata
 is tracked separately by the engine.
@@ -29,7 +30,7 @@ from .combinatorics import GroupIndex
 from .errors import DecodeError, InternalConsistencyError
 from .scheme import BasicScheme, CodingRow, IvaId
 
-IvaStore = Mapping[IvaId, BitString]
+IvaStore = Mapping[IvaId, int]
 Block = Callable[[int, tuple[int, ...]], int]
 
 
@@ -58,7 +59,7 @@ def _blocks(store: IvaStore, T: int) -> Block:
             v = 0
             try:
                 for n in files:
-                    v = (v << T) | store[i, n].value
+                    v = (v << T) | store[i, n]
             except KeyError:
                 raise KeyError(IvaId(i, n)) from None
             built[i] = v
@@ -134,8 +135,8 @@ def decode_node(
     scheme: BasicScheme,
     computed_k: IvaStore,
     delivered_k: Mapping[tuple[int, GroupIndex], MulticastSignal],
-) -> dict[int, BitString]:
-    """Recover node k's full value set {v_(k,n) : n in [N]}.
+) -> dict[int, int]:
+    """Recover node k's full value set {v_(k,n) : n in [N]}, as ints by file.
 
     Locally computed values cover stored batches. Each missing batch is k's
     row of a group whose j-set holds k. For each coding-set member j, the
@@ -147,7 +148,7 @@ def decode_node(
     p = scheme.params
     T, seg_bits = p.T, p.eta * p.T // p.g
     value_mask = (1 << T) - 1
-    result: dict[int, BitString] = {}
+    result: dict[int, int] = {}
     for n in scheme.storage[k]:
         iva = computed_k.get((k, n))
         if iva is None:
@@ -186,7 +187,7 @@ def decode_node(
         shift = len(files) * T
         for n in files:
             shift -= T
-            result[n] = BitString._of((recovered >> shift) & value_mask, T)
+            result[n] = (recovered >> shift) & value_mask
     return result
 
 

@@ -8,17 +8,16 @@ from d3c.errors import InvalidParameterError
 
 def test_byte_roundtrip():
     data = bytes([0xDE, 0xAD, 0xBE, 0xEF])
-    bs = BitString.from_bytes(data)
-    assert bs.length == 32
+    bs = BitString(int.from_bytes(data, "big"), 32)
+    assert len(bs) == 32
     assert bs.to_bytes() == data
 
 
 def test_non_byte_length_roundtrip():
-    # 12 bits out of two bytes: keep the high 12, pad low 4 on the way out
-    bs = BitString.from_bytes(bytes([0xAB, 0xCD]), 12)
-    assert bs.length == 12
-    assert bs.value == 0xABC
+    # 12 bits: the final partial byte is padded with 4 low zeros on the way out
+    bs = BitString(0xABC, 12)
     assert bs.to_bytes() == bytes([0xAB, 0xC0])
+    assert int.from_bytes(bs.to_bytes(), "big") >> 4 == bs.value
 
 
 def test_value_must_fit():
@@ -53,14 +52,14 @@ def test_slice_bounds_checked():
 def test_concat():
     a = BitString(0b10, 2)
     b = BitString(0b011, 3)
-    assert a.concat(b) == BitString(0b10011, 5)
+    assert BitString.join([a, b]) == BitString(0b10011, 5)
 
 
 def test_empty():
     empty = BitString(0, 0)
     assert empty.to_bytes() == b""
     assert BitString.join([]) == empty
-    assert empty.concat(BitString(1, 1)) == BitString(1, 1)
+    assert BitString.join([empty, BitString(1, 1)]) == BitString(1, 1)
 
 
 def test_digest_depends_on_length_and_value():

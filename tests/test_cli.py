@@ -255,6 +255,28 @@ def test_sweep_execution_fails_on_load_gap(capsys, monkeypatch):
     assert rows[0][4] == "true"  # decoding still verifies; only the load is off
 
 
+def test_sweep_and_verify_fail_on_storage_or_computation_gap(capsys, monkeypatch):
+    import d3c.engine
+
+    real = d3c.engine._predicted_loads
+    for load in ("storage_space", "computation_load"):
+
+        def shifted(groups, N, load=load):
+            predicted = real(groups, N)
+            predicted[load] += Fraction(1, N)
+            return predicted
+
+        monkeypatch.setattr(d3c.engine, "_predicted_loads", shifted)
+        code, out, _ = run(capsys, "sweep", "--K", "4", "--r", "2.5", "--c", "5/4", "--execute")
+        assert code == 3, load
+        _, rows = parse_csv(out)
+        assert rows[0][3] == rows[0][2] and rows[0][4] == "true"  # L and decoding still match
+        code, out, _ = run(capsys, "verify", "--K", "3")
+        assert code == 3, load
+        _, rows = parse_csv(out)
+        assert all(row[6:] == ["true", "false"] for row in rows), load  # decode_ok, pass
+
+
 def test_executed_sweep_over_budget_is_refused(capsys):
     # 1,113,600 files over 40 points at K = 6; it once ran for minutes
     start = time.perf_counter()

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -14,6 +15,7 @@ from d3c.engine import (
     _NodeFiles,
     _Auditor,
     _digest_bits,
+    FunctionSuite,
     default_suite,
     execute,
     generate_corpus,
@@ -50,24 +52,38 @@ def test_suite_determinism_and_sizes():
     suite = default_suite(12)
     a = suite.map_fn(1, 2, b"abc")
     assert a == suite.map_fn(1, 2, b"abc")
-    assert a.length == 12
+    assert 0 <= a < 1 << 12
     assert suite.map_fn(2, 2, b"abc") != a
     assert suite.map_fn(1, 3, b"abc") != a
     wide = default_suite(520)  # larger than one digest block
-    assert wide.map_fn(1, 1, b"x").length == 520
+    assert 0 <= wide.map_fn(1, 1, b"x") < 1 << 520
 
 
 def test_one_block_digest_is_the_counter_stream_prefix():
-    # up to 512 bits the digest stream is block 0 alone, taken in one call
+    # the digest is the first nbits bits of blocks 0, 1, ... of the keyed
+    # counter stream; up to 512 bits that is block 0 alone
     payload = b"payload"
-    stream = b"".join(
-        hashlib.blake2b(payload, digest_size=64, key=b"map" + c.to_bytes(8, "big")).digest()
-        for c in range(2)
-    )
-    for nbits in (1, 7, 8, 24, 96, 511, 512, 513, 520):
-        nbytes = (nbits + 7) // 8
-        want = BitString.from_bytes(stream[:nbytes], nbits)
-        assert _digest_bits(b"map", payload, nbits) == want, nbits
+    for domain in (b"map", b"reduce"):
+        stream = b"".join(
+            hashlib.blake2b(payload, digest_size=64, key=domain + c.to_bytes(8, "big")).digest()
+            for c in range(8)
+        )
+        for nbits in (1, 7, 8, 24, 96, 511, 512, 513, 520, 1024, 1025, 1500, 4096):
+            want = int.from_bytes(stream, "big") >> (len(stream) * 8 - nbits)
+            assert _digest_bits(domain, payload, nbits) == want, (domain, nbits)
+
+
+def test_reduce_blob_is_length_prefixed_value_bytes():
+    # the reduce digests the 4-byte target, then per value its 4-byte bit
+    # length and its bits padded to whole bytes
+    for T in (1, 7, 8, 9, 24, 520):
+        rng = Random(T)
+        for values in ([rng.getrandbits(T)], [0] + [rng.getrandbits(T) for _ in range(6)]):
+            ref = (3).to_bytes(4, "big") + b"".join(
+                T.to_bytes(4, "big") + BitString(v, T).to_bytes() for v in values
+            )
+            want = BitString(_digest_bits(b"reduce", ref, 40), 40)
+            assert default_suite(T, 40).reduce_fn(3, values) == want, (T, len(values))
 
 
 def test_reduce_is_order_sensitive():
@@ -87,6 +103,15 @@ def test_oracle_trivial_and_deterministic():
     assert only == suite.reduce_fn(1, [suite.map_fn(1, 1, corpus.files[0])])
     big = generate_corpus(6, 64, 42)
     assert oracle(big, suite, 3) == oracle(big, suite, 3)
+
+
+def test_zero_values_are_values():
+    # a map that yields 0 everywhere: no check may take 0 for a missing value
+    suite = FunctionSuite(lambda target, file_id, data: 0, default_suite(8).reduce_fn, 8, 8)
+    scheme = build_basic_scheme(make_params(3, 6, 2, 2, T=8))
+    report = execute(scheme, generate_corpus(6, 64, 0), suite)
+    assert report.verification_passed
+    assert report.measured.communication_load == Fraction(1, 6)
 
 
 def test_golden_run_exact_loads():
@@ -286,3 +311,19 @@ def test_missing_signal_ends_the_run(monkeypatch):
     assert isinstance(cause, DecodeError)
     assert cause.batch == group.requested_by(receiver)
     assert cause.owner == sender
+
+
+def test_reduce_input_with_a_hole_raises(monkeypatch):
+    import d3c.engine
+
+    real_decode_node = d3c.engine.decode_node
+
+    def dropping_decode_node(k, scheme, computed_k, delivered_k):
+        values = real_decode_node(k, scheme, computed_k, delivered_k)
+        if k == 2:
+            del values[6]
+        return values
+
+    monkeypatch.setattr(d3c.engine, "decode_node", dropping_decode_node)
+    with pytest.raises(ExecutionError, match="node 2 has no value of file 6 to reduce"):
+        run_basic(3, 6, 2, 2, T=8)

@@ -1,0 +1,23 @@
+"""The benchmark's traced pass still replays ``execute`` through the public
+calls it uses (``map_fn``, ``build_signals``, ``run_shuffle``,
+``decode_node``), and its gates and fault self-test hold on coded_shuffle."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_coded_shuffle_trace_passes_every_gate():
+    argv = ["--workload", "coded_shuffle", "--seed", "0", "--seconds", "0.1", "--trace", "1"]
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["selftest.failed_frac"]["value"] == 1.0

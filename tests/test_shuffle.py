@@ -23,11 +23,10 @@ from d3c.shuffle import (
 
 
 def value_table(scheme):
-    """Oracle values: a distinct, deterministic T-bit pattern per (target, file)."""
-    T = scheme.params.T
-    mask = (1 << T) - 1
+    """Oracle values: a distinct, deterministic T-bit int per (target, file)."""
+    mask = (1 << scheme.params.T) - 1
     return {
-        IvaId(q, n): BitString((q * 131071 + n * 8191 + 7) & mask, T)
+        IvaId(q, n): (q * 131071 + n * 8191 + 7) & mask
         for q in range(1, scheme.params.K + 1)
         for n in range(1, scheme.params.N + 1)
     }
@@ -51,12 +50,8 @@ def minimal_scheme(K, r, g, *, eta=1, T=None):
 
 def sparse_stores(scheme, values):
     """Per-node planned compute sets holding ``values`` and zero elsewhere."""
-    T = scheme.params.T
     return {
-        k: {
-            iva: BitString(values.get(iva, 0), T)
-            for iva in scheme.compute_own[k] + scheme.compute_coded[k]
-        }
+        k: {iva: values.get(iva, 0) for iva in scheme.compute_own[k] + scheme.compute_coded[k]}
         for k in scheme.storage
     }
 
@@ -72,7 +67,7 @@ def test_segment_halving():
     assert scheme.batches[((1, 2), (1, 2))] == (1,)
     sent = payloads(scheme, sparse_stores(scheme, {IvaId(3, 1): 0xBEEF}))
     assert sent == {1: BitString(0xBE, 8), 2: BitString(0xEF, 8), 3: BitString(0, 8)}
-    assert sent[1].concat(sent[2]) == BitString(0xBEEF, 16)
+    assert BitString.join([sent[1], sent[2]]) == BitString(0xBEEF, 16)
 
 
 def test_segment_identity_split():
@@ -127,9 +122,9 @@ def test_golden_signal_payloads():
     scheme = build_basic_scheme(make_params(3, 6, 2, 2, T=8))
     computed, table = computed_stores(scheme)
     signals = {s.sender: s for s in build_signals(scheme, computed)}
-    assert signals[1].payload == table[IvaId(2, 3)].xor(table[IvaId(3, 1)])
-    assert signals[2].payload == table[IvaId(1, 5)].xor(table[IvaId(3, 2)])
-    assert signals[3].payload == table[IvaId(1, 6)].xor(table[IvaId(2, 4)])
+    assert signals[1].payload == BitString(table[IvaId(2, 3)] ^ table[IvaId(3, 1)], 8)
+    assert signals[2].payload == BitString(table[IvaId(1, 5)] ^ table[IvaId(3, 2)], 8)
+    assert signals[3].payload == BitString(table[IvaId(1, 6)] ^ table[IvaId(2, 4)], 8)
     assert all(s.group == ((1, 2, 3), (1, 2, 3)) for s in signals.values())
 
 
@@ -215,7 +210,9 @@ def test_decode_forwarding_when_g_is_one():
             tuple(x for x in s.group.i if x != receiver),
             tuple(x for x in s.group.j if x != receiver),
         )
-        block = BitString.join(computed[s.sender][IvaId(receiver, n)] for n in scheme.batches[batch])
+        block = BitString.join(
+            BitString(computed[s.sender][IvaId(receiver, n)], 8) for n in scheme.batches[batch]
+        )
         assert s.payload == block
 
 
@@ -260,6 +257,11 @@ def test_missing_local_operand_is_a_decode_error():
         decode_node(1, scheme, computed[1], delivered[1])
     assert err.value.batch == ((2, 3), (2, 3))
     assert err.value.owner == 2
+    # a value of a file node 1 stores is its own, never decoded
+    computed, _ = computed_stores(scheme)
+    del computed[1][IvaId(1, 1)]
+    with pytest.raises(DecodeError, match="node 1 missing own value for file 1"):
+        decode_node(1, scheme, computed[1], delivered[1])
 
 
 def test_missing_operand_is_an_internal_error():
