@@ -64,6 +64,8 @@ class FunctionSuite:
     ``map_fn(target, file_id, file_bytes)`` yields the intermediate value as
     an int below ``2**iva_bits``; ``reduce_fn(target, values)`` consumes the
     N value ints in ascending file order and yields the B-bit output.
+    ``execute`` checks every reduce and oracle output against
+    ``output_bits`` and raises ``ExecutionError`` on another width.
     """
 
     map_fn: Callable[[int, int, bytes], int]
@@ -72,41 +74,74 @@ class FunctionSuite:
     output_bits: int
 
 
-# Key of the first digest block (counter 0) of each domain the suite uses.
-_FIRST_KEY = {domain: domain + bytes(8) for domain in (b"map", b"reduce")}
+def _keyed_digest(domain: bytes, nbits: int, prefix: bytes = b"") -> Callable[[bytes], int]:
+    """``payload -> _digest_bits(domain, prefix + payload, nbits)``.
+
+    The keyed state of each block the width needs is built here, once, and
+    absorbs its key block and the prefix; every call feeds the payload to a
+    copy of each, so the states themselves are never fed again.
+    """
+    blocks = -(-nbits // 512)
+    states = [
+        hashlib.blake2b(prefix, digest_size=64, key=domain + c.to_bytes(8, "big"))
+        for c in range(blocks)
+    ]
+    cut = blocks * 512 - nbits
+    from_bytes = int.from_bytes  # bound once: a lookup per call is a measurable share
+
+    def digest(payload: bytes) -> int:
+        stream = b""
+        for state in states:
+            block = state.copy()
+            block.update(payload)
+            stream += block.digest()
+        return from_bytes(stream, "big") >> cut
+
+    return digest
 
 
 def _digest_bits(domain: bytes, payload: bytes, nbits: int) -> int:
     """Keyed digest stream truncated to nbits (counter mode), as an int.
 
     Block c is keyed with ``domain`` followed by c as 8 big-endian bytes; the
-    stream is blocks 0, 1, ... joined, cut to its first nbits bits.
+    stream is blocks 0, 1, ... joined, cut to its first nbits bits. Every
+    block is digested from a copy of a keyed state (``_keyed_digest``), which
+    gives the same bits as a fresh keyed ``blake2b`` per block.
     """
-    stream = hashlib.blake2b(payload, digest_size=64, key=_FIRST_KEY[domain]).digest()
-    while len(stream) * 8 < nbits:
-        key = domain + (len(stream) // 64).to_bytes(8, "big")  # the next block's counter
-        stream += hashlib.blake2b(payload, digest_size=64, key=key).digest()
-    return int.from_bytes(stream, "big") >> (len(stream) * 8 - nbits)
+    return _keyed_digest(domain, nbits)(payload)
 
 
 def default_suite(T: int, B: int | None = None) -> FunctionSuite:
-    """Keyed-digest suite: deterministic, size-exact, order-sensitive."""
+    """Keyed-digest suite: deterministic, size-exact, order-sensitive.
+
+    A value is ``_digest_bits(b"map", target(4) + file_id(8) + data, T)``.
+    The map keeps, per target, block states that have already absorbed the
+    key block and the 4-byte target, built on the target's first call, so a
+    call digests only the file id and the file.
+    """
     if B is None:
         B = T
     if T < 1 or B < 1:
         raise InvalidParameterError("value sizes must be positive")
+    by_target: dict[int, Callable[[bytes], int]] = {}
 
     def map_fn(target: int, file_id: int, data: bytes) -> int:
-        key = target.to_bytes(4, "big") + file_id.to_bytes(8, "big")
-        return _digest_bits(b"map", key + data, T)
+        digest = by_target.get(target)
+        if digest is None:
+            digest = by_target[target] = _keyed_digest(b"map", T, target.to_bytes(4, "big"))
+        return digest(file_id.to_bytes(8, "big") + data)
 
-    # a value enters the blob as its 4-byte bit length, then its bits padded to whole bytes
-    length, pad, nbytes = T.to_bytes(4, "big"), -T % 8, (T + 7) // 8
+    # a value enters the blob as its 4-byte bit length, then its bits padded
+    # to whole bytes: one (4 + nbytes)-byte int with the length on top
+    pad, nbytes = -T % 8, (T + 7) // 8
+    head, width = T << 8 * nbytes, 4 + nbytes
 
     def reduce_fn(target: int, values: Sequence[int]) -> BitString:
+        if max(values, default=0) >> T:  # it would spill into the length bytes
+            raise OverflowError(f"a value of target {target} is not in [0, 2**{T})")
         blob = bytearray(target.to_bytes(4, "big"))
         for v in values:
-            blob += length + (v << pad).to_bytes(nbytes, "big")
+            blob += (head | v << pad).to_bytes(width, "big")
         return BitString._of(_digest_bits(b"reduce", blob, B), B)
 
     return FunctionSuite(map_fn, reduce_fn, T, B)
@@ -114,11 +149,10 @@ def default_suite(T: int, B: int | None = None) -> FunctionSuite:
 
 def oracle(corpus: Corpus, suite: FunctionSuite, K: int) -> list[BitString]:
     """Centralized ground truth: all N*K values, then the K reduce outputs."""
+    map_fn, files = suite.map_fn, corpus.files
     outputs = []
     for k in range(1, K + 1):
-        values = [
-            suite.map_fn(k, n, corpus.files[n - 1]) for n in range(1, corpus.N + 1)
-        ]
+        values = [map_fn(k, n, data) for n, data in enumerate(files, start=1)]
         outputs.append(suite.reduce_fn(k, values))
     return outputs
 
@@ -316,17 +350,18 @@ def execute(
     # each node's reduce input, indexed by global file id - 1
     collected: dict[int, list[int | None]] = {k: [None] * N_total for k in nodes}
 
+    map_fn = suite.map_fn
     for scheme, offset in groups:
         # keyed by plain (target, file) tuples, which hash and compare equal
         # to IvaId, so IvaId lookups still find every value
         computed: dict[int, dict[IvaId, int]] = {k: {} for k in nodes}
         for batch, files in scheme.batches.items():
+            ids = [(n, offset + n) for n in files]  # (local, global) file ids
             for k in batch.s:
-                store, view = computed[k], file_views[k]
+                store, read = computed[k], file_views[k].read
                 for q in scheme.targets(k, batch):
-                    for n in files:
-                        data = view.read(offset + n)
-                        store[q, n] = suite.map_fn(q, offset + n, data)
+                    for n, file_id in ids:
+                        store[q, n] = map_fn(q, file_id, read(file_id))
         for k in nodes:
             computed_values[k] += len(computed[k])
 
@@ -361,6 +396,13 @@ def execute(
         outputs.append(suite.reduce_fn(k, collected[k]))
 
     truth = oracle(corpus, suite, K)
+    for k, got, want in zip(nodes, outputs, truth):
+        for source, out in (("reduce", got), ("oracle", want)):
+            if out.length != suite.output_bits:
+                raise ExecutionError(
+                    f"node {k}: {source} output has {out.length} bits "
+                    f"but the suite declares {suite.output_bits}"
+                )
     first_mismatch = None
     for k, (got, want) in enumerate(zip(outputs, truth), start=1):
         if got != want:

@@ -73,6 +73,28 @@ def test_one_block_digest_is_the_counter_stream_prefix():
             assert _digest_bits(domain, payload, nbits) == want, (domain, nbits)
 
 
+def test_map_value_is_the_digest_of_target_file_id_and_data():
+    # map_fn(q, n, data) is the first T bits of the b"map" counter stream
+    # over q(4) + n(8) + data; targets interleave and every call repeats, so
+    # a cached per-target state fed in place would change the next value
+    def reference(T, q, n, data):
+        payload = q.to_bytes(4, "big") + n.to_bytes(8, "big") + data
+        stream = b"".join(
+            hashlib.blake2b(payload, digest_size=64, key=b"map" + c.to_bytes(8, "big")).digest()
+            for c in range(-(-T // 512))
+        )
+        return int.from_bytes(stream, "big") >> (len(stream) * 8 - T)
+
+    widths = (1, 8, 24, 96, 511, 512, 513, 520, 1024, 1025, 1500, 4096)
+    suites = {T: default_suite(T) for T in widths}  # all alive at once
+    for n, data in ((1, b"\x00"), (7, b"abc"), (2**40 + 3, bytes(range(200)))):
+        for q in (1, 2, 1, 3):
+            for T, suite in suites.items():
+                want = reference(T, q, n, data)
+                assert suite.map_fn(q, n, data) == want, (T, q, n)
+                assert suite.map_fn(q, n, data) == want, (T, q, n)
+
+
 def test_reduce_blob_is_length_prefixed_value_bytes():
     # the reduce digests the 4-byte target, then per value its 4-byte bit
     # length and its bits padded to whole bytes
@@ -84,6 +106,9 @@ def test_reduce_blob_is_length_prefixed_value_bytes():
             )
             want = BitString(_digest_bits(b"reduce", ref, 40), 40)
             assert default_suite(T, 40).reduce_fn(3, values) == want, (T, len(values))
+    for bad in (256, -1):  # not an 8-bit value
+        with pytest.raises(OverflowError):
+            default_suite(8).reduce_fn(3, [1, bad])
 
 
 def test_reduce_is_order_sensitive():
@@ -112,6 +137,17 @@ def test_zero_values_are_values():
     report = execute(scheme, generate_corpus(6, 64, 0), suite)
     assert report.verification_passed
     assert report.measured.communication_load == Fraction(1, 6)
+
+
+def test_reduce_output_of_the_wrong_width_is_refused():
+    # the suite declares 16-bit outputs but its reduce yields 8 bits
+    suite = FunctionSuite(
+        default_suite(8).map_fn, lambda target, values: BitString(sum(values) % 256, 8), 8, 16
+    )
+    scheme = build_basic_scheme(make_params(3, 6, 2, 2, T=8))
+    refused = "node 1: reduce output has 8 bits but the suite declares 16"
+    with pytest.raises(ExecutionError, match=refused):
+        execute(scheme, generate_corpus(6, 64, 0), suite)
 
 
 def test_golden_run_exact_loads():
