@@ -7,7 +7,7 @@ The engine simulates the nodes inside one process, but isolation is real:
 every file read goes through a per-node gate that only admits the node's
 placed files, and every signal lookup checks the delivered store. An
 access outside the plan raises and ends the run, so a finished report had
-none: decoding used nothing beyond placement plus broadcast. Audit mode
+none: decoding used nothing beyond placement plus broadcast. Every report
 counts the file reads and signal lookups.
 
 The signal trace is a JSON-lines stream (sender, group, bit length, payload
@@ -28,7 +28,7 @@ print("=" * 80)
 scheme = build_basic_scheme(make_params(3, 6, 2, 2, T=8))
 corpus = generate_corpus(6, 64, 2026)
 trace = io.StringIO()
-report = execute(scheme, corpus, default_suite(8), audit=True, trace=trace)
+report = execute(scheme, corpus, default_suite(8), trace=trace)
 
 print(f"""
   verification passed: {report.verification_passed}

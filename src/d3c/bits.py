@@ -29,15 +29,6 @@ class BitString:
     def __setattr__(self, name, value):
         raise AttributeError("BitString is immutable")
 
-    @classmethod
-    def _of(cls, value: int, length: int) -> "BitString":
-        """A value the library has just built to fit in ``length`` bits,
-        wrapped without the checks of ``__init__``."""
-        self = object.__new__(cls)
-        _set_value(self, value)
-        _set_length(self, length)
-        return self
-
     def to_bytes(self) -> bytes:
         """Big-endian bytes; the final partial byte is padded with low zeros."""
         nbytes = (self.length + 7) // 8
@@ -89,7 +80,3 @@ class BitString:
         if self.length <= 32:
             return f"BitString(0b{self.value:0{self.length}b})" if self.length else "BitString(empty)"
         return f"BitString({self.length} bits, {self.digest()})"
-
-
-_set_value = BitString.value.__set__
-_set_length = BitString.length.__set__

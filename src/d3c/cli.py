@@ -116,7 +116,7 @@ def _build_parser() -> _Parser:
         ("csv", "json"),
         K={"type": int, "required": True},
         r={"type": _fraction},
-        resolution={"type": int, "default": 0, "help": "interpolated samples per segment"},
+        resolution={"type": int, "help": "interpolated samples per segment (default 0)"},
     )
     p.add_argument("--cstar-sweep", action="store_true", dest="cstar_sweep")
     p.set_defaults(handler=_cmd_tradeoff)
@@ -169,8 +169,8 @@ def _build_parser() -> _Parser:
         r={"type": _fraction_list, "required": True},
         c={"type": _fraction_list, "default": []},
         T={"type": int},
-        seed={"type": int, "default": 0},
-        resolution={"type": int, "default": 20, "help": "grid points per storage value"},
+        seed={"type": int},
+        resolution={"type": int, "help": "grid points per storage value (default 20)"},
     )
     p.add_argument("--execute", action="store_true")
     p.set_defaults(handler=_cmd_sweep)
@@ -191,8 +191,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _refuse_ignored(mode: str, **flags) -> None:
+    """Refuse each given flag that the chosen mode would ignore."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise InvalidParameterError(f"--{flag} has no effect {mode}")
+
+
 def _cmd_tradeoff(args) -> int:
     if args.cstar_sweep:
+        _refuse_ignored("with --cstar-sweep", r=args.r, resolution=args.resolution)
         if args.K < 2:
             raise InvalidParameterError("need --K >= 2")
         _check_size(args, 20 * (args.K - 1), "rows")
@@ -206,17 +214,18 @@ def _cmd_tradeoff(args) -> int:
     if args.r is None:
         raise InvalidParameterError("tradeoff requires --r (or --cstar-sweep)")
     analytics.g_r(args.K, args.r)  # refuses a bad K or r as build_curve would
-    if args.resolution < 0:
+    resolution = 0 if args.resolution is None else args.resolution
+    if resolution < 0:
         raise InvalidParameterError("resolution must be non-negative")
     # at most floor(r) + 1 curve points, each segment with its samples, and
     # the end of the flat tail; JSON writes the points alone
-    samples = 0 if args.format == "json" else args.resolution
+    samples = 0 if args.format == "json" else resolution
     _check_size(args, (math.floor(args.r) + 1) * (samples + 1) + 1, "rows")
     curve = analytics.build_curve(args.K, args.r)
     if args.format == "json":
         _write_json(args, analytics.curve_to_dict(curve))
     else:
-        rows = analytics.curve_rows(curve, args.resolution)
+        rows = analytics.curve_rows(curve, resolution)
         _write_table(args, ["c", "L", "segment_kind"], rows)
     return EXIT_OK
 
@@ -269,7 +278,7 @@ def _cmd_simulate(args) -> int:
     plan, T = _resolve_simulate_plan(args)
     corpus = engine.generate_corpus(args.N, 64, args.seed)
     suite = engine.default_suite(T, args.B)
-    report = engine.execute(plan, corpus, suite, audit=True)
+    report = engine.execute(plan, corpus, suite)
     _write_json(args, report.to_dict())
     return EXIT_OK if _passed(report) else EXIT_VERIFICATION
 
@@ -335,14 +344,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.resolution < 2:
-        raise InvalidParameterError(f"--resolution must be at least 2, got {args.resolution}")
+    if not args.execute:
+        _refuse_ignored("without --execute", T=args.T, seed=args.seed)
+    if args.c:
+        _refuse_ignored("with --c", resolution=args.resolution)
+    resolution = 20 if args.resolution is None else args.resolution
+    seed = 0 if args.seed is None else args.seed
+    if resolution < 2:
+        raise InvalidParameterError(f"--resolution must be at least 2, got {resolution}")
     for r in args.r:
         if not 1 <= r < args.K:
             raise InvalidParameterError(f"storage value {r} outside [1, {args.K})")
     # each storage value builds at most floor(r) + 1 curve points and emits
     # one row per computation value
-    per_r = len(args.c) or args.resolution
+    per_r = len(args.c) or resolution
     _check_size(args, sum(math.floor(r) + 1 + per_r for r in args.r), "rows")
     points = []  # (r, c, predicted L, files the executed plan needs)
     for r in args.r:
@@ -350,7 +365,7 @@ def _cmd_sweep(args) -> int:
         if args.c:
             c_values = args.c
         else:
-            n = args.resolution
+            n = resolution
             c_values = [1 + (r - 1) * Fraction(i, n - 1) for i in range(n)]
         for c in c_values:
             predicted = analytics.query_load(curve, c)
@@ -365,7 +380,7 @@ def _cmd_sweep(args) -> int:
         if args.execute:
             plan = composer.plan_for_target(args.K, N, r, c)
             T = composer.safe_iva_bits(plan) if args.T is None else args.T
-            corpus = engine.generate_corpus(N, 64, args.seed)
+            corpus = engine.generate_corpus(N, 64, seed)
             report = engine.execute(plan, corpus, engine.default_suite(T))
             measured = report.measured.communication_load
             verified = report.verification_passed

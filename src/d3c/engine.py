@@ -4,7 +4,9 @@ Nodes are logical entities in one process. Isolation is enforced by
 construction: every file or signal access goes through a per-node view that
 admits only the node's placed files and the signals actually delivered to
 it. An access outside the plan ends the run with ``ExecutionError``, so a
-run that finishes had none; audit mode reports the two access counters.
+run that finishes had none; every report carries the two access counters.
+Every plan runs on the corpus's own file ids: a composite group's batches
+hold the ids of its files in the corpus.
 
 All randomness comes from one explicit seed; reports contain no wall-clock
 fields, so identical inputs serialize byte-identically.
@@ -28,7 +30,7 @@ from .scheme import (
     IvaId,
     LoadReport,
     SchemeParams,
-    build_basic_scheme,
+    _placement,
 )
 from .shuffle import decode_node, run_shuffle, write_signal_trace
 
@@ -142,7 +144,7 @@ def default_suite(T: int, B: int | None = None) -> FunctionSuite:
         blob = bytearray(target.to_bytes(4, "big"))
         for v in values:
             blob += (head | v << pad).to_bytes(width, "big")
-        return BitString._of(_digest_bits(b"reduce", blob, B), B)
+        return BitString(_digest_bits(b"reduce", blob, B), B)
 
     return FunctionSuite(map_fn, reduce_fn, T, B)
 
@@ -227,7 +229,7 @@ class ExecutionReport:
     verification_passed: bool
     first_mismatch: dict | None
     overhead_bits: int
-    audit: dict | None
+    audit: dict
 
     def to_dict(self) -> dict:
         return {
@@ -250,44 +252,36 @@ class ExecutionReport:
         }
 
 
-def _bind(
-    plan: BasicScheme | CompositePlan, F: int, T: int
-) -> tuple[dict, list[tuple[BasicScheme, int]]]:
-    """The report's plan summary and the (scheme, file offset) groups to run.
+def _bind(plan: BasicScheme | CompositePlan, F: int, T: int) -> tuple[dict, list[BasicScheme]]:
+    """The report's plan summary and the schemes to run, on corpus file ids.
 
-    A basic scheme is one group at offset 0; a composite plan's groups are
-    built with the corpus file size F and the suite's value size T.
+    A basic scheme runs as it is. Each group of a composite plan is built
+    with the corpus file size F and the suite's value size T, its placement
+    shifted once to the group's own files of the corpus.
     """
     if isinstance(plan, BasicScheme):
-        return {"type": plan.kind, "r": plan.params.r, "g": plan.params.g}, [(plan, 0)]
+        return {"type": plan.kind, "r": plan.params.r, "g": plan.params.g}, [plan]
     summary = {
         "type": "composite",
         "route": plan.route,
         "target_r": str(plan.predicted_r),
         "target_c": str(plan.target_c),
-        "groups": [
-            {
-                "fraction": str(sp.fraction),
-                "r": sp.r,
-                "g": sp.g,
-                "first_file": sp.first_file,
-                "file_count": sp.file_count,
-            }
-            for sp in plan.groups
-        ],
+        "groups": [{**asdict(sp), "fraction": str(sp.fraction)} for sp in plan.groups],
     }
-    groups = []
+    schemes = []
     for sp in plan.groups:
         params = SchemeParams(K=plan.K, N=sp.file_count, F=F, T=T, r=sp.r, g=sp.g)
-        groups.append((build_basic_scheme(params), sp.first_file - 1))
-    return summary, groups
+        shift = sp.first_file - 1
+        batches = {b: tuple(n + shift for n in files) for b, files in _placement(params).items()}
+        schemes.append(BasicScheme(params, batches))
+    return summary, schemes
 
 
-def _predicted_loads(groups: list[tuple[BasicScheme, int]], N: int) -> dict[str, Fraction]:
-    """File-weighted closed-form loads of the groups; a cdc group computes
+def _predicted_loads(schemes: list[BasicScheme], N: int) -> dict[str, Fraction]:
+    """File-weighted closed-form loads of the schemes; a cdc scheme computes
     every value of its stored files, so its computation load is r."""
     r = c = L = Fraction(0)
-    for scheme, _ in groups:
+    for scheme in schemes:
         p = scheme.params
         weight = Fraction(p.N, N)
         r += weight * p.r
@@ -310,17 +304,16 @@ def execute(
     corpus: Corpus,
     suite: FunctionSuite,
     *,
-    audit: bool = False,
     trace: IO[str] | None = None,
 ) -> ExecutionReport:
     """Run map, shuffle, and reduce under ``plan`` and verify against the
     centralized oracle. ``suite`` is required: its value size is the run's
     T. Raises on plan/corpus/suite mismatch, on any access outside the plan
     and on internal inconsistency; a wrong output is reported, not raised."""
-    summary, groups = _bind(plan, corpus.F, suite.iva_bits)
-    first = groups[0][0].params
+    summary, schemes = _bind(plan, corpus.F, suite.iva_bits)
+    first = schemes[0].params
     K, F, T = first.K, first.F, first.T
-    N_total = sum(scheme.params.N for scheme, _ in groups)
+    N_total = sum(scheme.params.N for scheme in schemes)
     if corpus.N != N_total:
         raise InvalidParameterError(
             f"corpus has {corpus.N} files but the plan needs {N_total}"
@@ -335,11 +328,8 @@ def execute(
     nodes = range(1, K + 1)
     auditor = _Auditor()
 
-    # per-node allowed file sets across all groups
-    allowed: dict[int, set[int]] = {k: set() for k in nodes}
-    for scheme, offset in groups:
-        for k in nodes:
-            allowed[k].update(offset + n for n in scheme.storage[k])
+    # per-node allowed file sets across all schemes
+    allowed = {k: {n for scheme in schemes for n in scheme.storage[k]} for k in nodes}
     file_views = {k: _NodeFiles(k, corpus, allowed[k], auditor) for k in nodes}
 
     total_bits = 0
@@ -347,21 +337,20 @@ def execute(
     computed_values = {k: 0 for k in nodes}
     sent_signals = {k: 0 for k in nodes}
     sent_bits = {k: 0 for k in nodes}
-    # each node's reduce input, indexed by global file id - 1
+    # each node's reduce input, indexed by file id - 1
     collected: dict[int, list[int | None]] = {k: [None] * N_total for k in nodes}
 
     map_fn = suite.map_fn
-    for scheme, offset in groups:
+    for scheme in schemes:
         # keyed by plain (target, file) tuples, which hash and compare equal
         # to IvaId, so IvaId lookups still find every value
         computed: dict[int, dict[IvaId, int]] = {k: {} for k in nodes}
         for batch, files in scheme.batches.items():
-            ids = [(n, offset + n) for n in files]  # (local, global) file ids
             for k in batch.s:
                 store, read = computed[k], file_views[k].read
                 for q in scheme.targets(k, batch):
-                    for n, file_id in ids:
-                        store[q, n] = map_fn(q, file_id, read(file_id))
+                    for n in files:
+                        store[q, n] = map_fn(q, n, read(n))
         for k in nodes:
             computed_values[k] += len(computed[k])
 
@@ -385,8 +374,8 @@ def execute(
                 values = decode_node(k, scheme, computed[k], signal_view)
             except Exception as err:
                 raise ExecutionError(f"decode failed at node {k}: {err}") from err
-            for local_n, value in values.items():
-                collected[k][offset + local_n - 1] = value
+            for n, value in values.items():
+                collected[k][n - 1] = value
 
     outputs = []
     for k in nodes:
@@ -395,23 +384,20 @@ def execute(
             raise ExecutionError(f"node {k} has no value of file {missing} to reduce")
         outputs.append(suite.reduce_fn(k, collected[k]))
 
-    truth = oracle(corpus, suite, K)
-    for k, got, want in zip(nodes, outputs, truth):
+    first_mismatch = None
+    for k, got, want in zip(nodes, outputs, oracle(corpus, suite, K)):
         for source, out in (("reduce", got), ("oracle", want)):
             if out.length != suite.output_bits:
                 raise ExecutionError(
                     f"node {k}: {source} output has {out.length} bits "
                     f"but the suite declares {suite.output_bits}"
                 )
-    first_mismatch = None
-    for k, (got, want) in enumerate(zip(outputs, truth), start=1):
-        if got != want:
+        if got != want and first_mismatch is None:
             first_mismatch = {
                 "node": k,
                 "expected": want.to_bytes().hex(),
                 "actual": got.to_bytes().hex(),
             }
-            break
 
     stored_total = sum(len(allowed[k]) for k in nodes)
     measured = LoadReport(
@@ -434,13 +420,6 @@ def execute(
         )
         for k in nodes
     )
-    audit_summary = None
-    if audit:
-        audit_summary = {
-            "file_reads": auditor.file_reads,
-            "signal_reads": auditor.signal_reads,
-            "violations": [],  # an access outside the plan raises instead
-        }
     return ExecutionReport(
         K=K,
         N=N_total,
@@ -449,11 +428,11 @@ def execute(
         seed=corpus.seed,
         plan=summary,
         measured=measured,
-        predicted=_predicted_loads(groups, N_total),
+        predicted=_predicted_loads(schemes, N_total),
         per_node=per_node,
         outputs=tuple(out.to_bytes().hex() for out in outputs),
         verification_passed=first_mismatch is None,
         first_mismatch=first_mismatch,
         overhead_bits=overhead_bits,
-        audit=audit_summary,
+        audit={**asdict(auditor), "violations": []},  # an access outside the plan raises
     )

@@ -109,7 +109,7 @@ def build_signals(scheme: BasicScheme, computed: Mapping[int, IvaStore]) -> list
                 raise InternalConsistencyError(
                     f"node {sender} lacks operand {missing} for group {group}"
                 ) from None
-            signals.append(MulticastSignal(sender, group, BitString._of(payload, seg_bits)))
+            signals.append(MulticastSignal(sender, group, BitString(payload, seg_bits)))
     return signals
 
 

@@ -224,7 +224,6 @@ def test_information_flow_audit():
         build_basic_scheme(make_params(3, 6, 2, 2, T=8)),
         generate_corpus(6, 64, 2026),
         default_suite(8),
-        audit=True,
     )
     audit = report.audit
     ok = (

@@ -5,6 +5,8 @@ import math
 import time
 from fractions import Fraction
 
+import pytest
+
 from d3c import composer
 from d3c.cli import main
 
@@ -413,6 +415,25 @@ def test_zero_value_size_is_rejected(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("sweep", "--K", "4", "--r", "2", "--T", "0"), "--T"),
+        (("sweep", "--K", "4", "--r", "2", "--seed", "9"), "--seed"),
+        (("sweep", "--K", "4", "--r", "2", "--c", "1,3/2", "--resolution", "7"), "--resolution"),
+        (("tradeoff", "--K", "10", "--cstar-sweep", "--r", "4.5", "--resolution", "3"), "--r"),
+        (("tradeoff", "--K", "10", "--cstar-sweep", "--resolution", "3"), "--resolution"),
+        # refused before the size check, which these requests would also fail
+        (("sweep", "--K", "4", "--r", "2", "--T", "8", "--resolution", str(2**21)), "--T"),
+        (("tradeoff", "--K", str(10**6), "--cstar-sweep", "--r", "2"), "--r"),
+    ],
+)
+def test_flag_the_mode_ignores_is_refused(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"d3c: error: {flag} has no effect" in err and "budget" not in err
 
 
 def test_sweep_rejects_resolution_below_two(capsys):

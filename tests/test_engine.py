@@ -14,6 +14,7 @@ from d3c.composer import minimal_files, plan_for_target, safe_iva_bits
 from d3c.engine import (
     _NodeFiles,
     _Auditor,
+    _bind,
     _digest_bits,
     FunctionSuite,
     default_suite,
@@ -26,10 +27,10 @@ from d3c.scheme import build_basic_scheme, build_cdc_scheme, make_params
 from d3c.shuffle import MulticastSignal
 
 
-def run_basic(K, N, r, g, *, T, seed=42, F=64, audit=False, trace=None):
+def run_basic(K, N, r, g, *, T, seed=42, F=64, trace=None):
     scheme = build_basic_scheme(make_params(K, N, r, g, F=F, T=T))
     corpus = generate_corpus(N, F, seed)
-    return execute(scheme, corpus, default_suite(T), audit=audit, trace=trace)
+    return execute(scheme, corpus, default_suite(T), trace=trace)
 
 
 def test_corpus_determinism_and_shape():
@@ -250,13 +251,37 @@ def test_composite_execution_saturation_route():
     assert report.verification_passed
 
 
+@pytest.mark.parametrize(
+    "K, r, c",
+    [
+        # the route examples of test_executed_plan_meets_curve_and_prediction
+        (4, Fraction(2), Fraction(1)),
+        (2, Fraction(3, 2), Fraction(1)),
+        (3, Fraction(2), Fraction(6, 5)),
+        (4, Fraction(9, 4), Fraction(3, 2)),
+        (3, Fraction(2), Fraction(8, 5)),
+        (3, Fraction(9, 4), Fraction(9, 8)),  # e2 with four groups
+    ],
+)
+def test_composite_groups_run_on_their_own_corpus_files(K, r, c):
+    N = minimal_files(K, r, c)
+    plan = plan_for_target(K, N, r, c)
+    _, schemes = _bind(plan, 8, safe_iva_bits(plan))
+    assert len(schemes) == len(plan.groups)
+    tiled = []
+    for sp, scheme in zip(plan.groups, schemes):
+        files = sorted(n for batch in scheme.batches.values() for n in batch)
+        assert files == list(range(sp.first_file, sp.first_file + sp.file_count)), plan.route
+        assert {n for stored in scheme.storage.values() for n in stored} == set(files)
+        tiled += files
+    assert tiled == list(range(1, N + 1))
+
+
 def test_audit_mode_records_and_stays_clean():
-    report = run_basic(3, 6, 2, 2, T=8, audit=True)
+    report = run_basic(3, 6, 2, 2, T=8)
     assert report.audit["violations"] == []
     assert report.audit["file_reads"] == 24  # one read per planned evaluation
     assert report.audit["signal_reads"] == 6  # one per recovered segment
-    no_audit = run_basic(3, 6, 2, 2, T=8)
-    assert no_audit.audit is None
 
 
 def test_out_of_placement_read_is_blocked_and_recorded():
@@ -282,7 +307,7 @@ def test_trace_stream():
 
 
 def test_report_serialization_roundtrip():
-    report = run_basic(3, 6, 2, 2, T=8, audit=True)
+    report = run_basic(3, 6, 2, 2, T=8)
     doc = report.to_dict()
     assert doc["measured"]["communication_load"]["exact"] == "1/6"
     assert doc["verification"] == {"passed": True, "first_mismatch": None}
@@ -341,7 +366,7 @@ def test_missing_signal_ends_the_run(monkeypatch):
 
     monkeypatch.setattr(d3c.engine, "run_shuffle", dropping_run_shuffle)
     with pytest.raises(ExecutionError, match=f"decode failed at node {receiver}:") as info:
-        run_basic(3, 6, 2, 2, T=8, audit=True)
+        run_basic(3, 6, 2, 2, T=8)
     (sender, group), = dropped
     cause = info.value.__cause__
     assert isinstance(cause, DecodeError)

@@ -50,9 +50,7 @@ def test_executed_plan_meets_curve_and_prediction(target):
     K, r, c = target
     N = minimal_files(K, r, c)
     plan = plan_for_target(K, N, r, c)
-    report = execute(
-        plan, generate_corpus(N, 8, 0), default_suite(safe_iva_bits(plan)), audit=True
-    )
+    report = execute(plan, generate_corpus(N, 8, 0), default_suite(safe_iva_bits(plan)))
     measured, predicted = report.measured, report.predicted
     # one file read per planned map evaluation, in every file group
     assert report.audit["file_reads"] == measured.computation_load * N * K, plan.route

@@ -1,12 +1,13 @@
 """Byte-identical runs: each executed run's report and signal trace hash to
 the digests recorded in ``run_golden.json``.
 
-Every run executes with ``audit=True`` and a signal trace. The digests are
-the sha256 of ``json.dumps(report.to_dict(), indent=2)`` and of the trace
-text. The runs cover a basic d3c scheme at g = 1 and at g = r, the cdc
-baseline, one composite plan on each of the routes e1, e2, e3 and clamp at
-its minimal file count, and a basic scheme with T = 520 bits, which takes
-the multi-block path of the keyed digest.
+Every run executes with a signal trace, and every report carries the file
+and signal read counters of its audit. The digests are the sha256 of
+``json.dumps(report.to_dict(), indent=2)`` and of the trace text. The runs
+cover a basic d3c scheme at g = 1 and at g = r, the cdc baseline, one
+composite plan on each of the routes e1, e2, e3 and clamp at its minimal
+file count, and a basic scheme with T = 520 bits, which takes the
+multi-block path of the keyed digest.
 
 Regenerate the digests, only after a deliberate output change, with
 
@@ -62,7 +63,7 @@ def _plan(name: str):
 def digest(name: str) -> dict:
     plan, N, T = _plan(name)
     trace = io.StringIO()
-    report = execute(plan, generate_corpus(N, 64, 7), default_suite(T), audit=True, trace=trace)
+    report = execute(plan, generate_corpus(N, 64, 7), default_suite(T), trace=trace)
     assert report.verification_passed
     return {
         "report": hashlib.sha256(json.dumps(report.to_dict(), indent=2).encode()).hexdigest(),
