@@ -217,10 +217,11 @@ def _cmd_tradeoff(args) -> int:
     resolution = 0 if args.resolution is None else args.resolution
     if resolution < 0:
         raise InvalidParameterError("resolution must be non-negative")
+    if args.format == "json":  # JSON writes the curve points alone
+        _refuse_ignored("with --format json", resolution=args.resolution)
     # at most floor(r) + 1 curve points, each segment with its samples, and
-    # the end of the flat tail; JSON writes the points alone
-    samples = 0 if args.format == "json" else resolution
-    _check_size(args, (math.floor(args.r) + 1) * (samples + 1) + 1, "rows")
+    # the end of the flat tail
+    _check_size(args, (math.floor(args.r) + 1) * (resolution + 1) + 1, "rows")
     curve = analytics.build_curve(args.K, args.r)
     if args.format == "json":
         _write_json(args, analytics.curve_to_dict(curve))

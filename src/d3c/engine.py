@@ -1,12 +1,13 @@
 """End-to-end simulated runs: corpus, map, coded shuffle, reduce, verify.
 
-Nodes are logical entities in one process. Isolation is enforced by
-construction: every file or signal access goes through a per-node view that
-admits only the node's placed files and the signals actually delivered to
-it. An access outside the plan ends the run with ``ExecutionError``, so a
-run that finishes had none; every report carries the two access counters.
-Every plan runs on the corpus's own file ids: a composite group's batches
-hold the ids of its files in the corpus.
+Nodes are logical entities in one process; a large run's oracle alone runs
+in a forked child. Isolation is enforced by construction: every file or
+signal access goes through a per-node view that admits only the node's
+placed files and the signals actually delivered to it. An access outside
+the plan ends the run with ``ExecutionError``, so a run that finishes had
+none; every report carries the two access counters. Every plan runs on
+the corpus's own file ids: a composite group's batches hold the ids of its
+files in the corpus.
 
 All randomness comes from one explicit seed; reports contain no wall-clock
 fields, so identical inputs serialize byte-identically.
@@ -16,10 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from random import Random
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 from .analytics import basic_communication, basic_computation
 from .bits import BitString
@@ -65,7 +69,8 @@ class FunctionSuite:
 
     ``map_fn(target, file_id, file_bytes)`` yields the intermediate value as
     an int below ``2**iva_bits``; ``reduce_fn(target, values)`` consumes the
-    N value ints in ascending file order and yields the B-bit output.
+    N value ints in ascending file order and yields the B-bit output. Both
+    must be pure: a forked oracle sees no state that the run's calls change.
     ``execute`` checks every reduce and oracle output against
     ``output_bits`` and raises ``ExecutionError`` on another width.
     """
@@ -157,6 +162,57 @@ def oracle(corpus: Corpus, suite: FunctionSuite, K: int) -> list[BitString]:
         values = [map_fn(k, n, data) for n, data in enumerate(files, start=1)]
         outputs.append(suite.reduce_fn(k, values))
     return outputs
+
+
+_FORK_MIN_VALUES = 2**15  # N*K from which forking the oracle saves more than it costs
+
+
+@contextmanager
+def _oracle_beside(corpus: Corpus, suite: FunctionSuite, K: int) -> Iterator[Callable[[], list]]:
+    """Yield a call that returns ``oracle(corpus, suite, K)``, computed by a
+    child forked here from N*K >= ``_FORK_MIN_VALUES`` in a one-thread
+    process, else in-process. No child outlives the block."""
+    read_end = pid = None
+    if corpus.N * K >= _FORK_MIN_VALUES and hasattr(os, "fork") and threading.active_count() == 1:
+        try:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+        except OSError:  # no pipe or no child: the oracle runs in-process
+            if read_end is not None:
+                os.close(read_end), os.close(write_end)
+    if pid is None:
+        yield lambda: oracle(corpus, suite, K)
+        return
+    if pid == 0:  # the child: it never returns into the caller nor flushes what it inherited
+        status = 1
+        try:
+            with os.fdopen(write_end, "wb") as pipe:
+                for out in oracle(corpus, suite, K):
+                    pipe.write(b"%x %x\n" % (out.length, out.value))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    pipe = os.fdopen(read_end, "rb")  # open until the child is reaped
+
+    def collect() -> list[BitString]:
+        data = pipe.read()  # to EOF before reaping, so a full pipe cannot block the child
+        status = os.waitpid(pid, 0)[1]
+        pipe.close()
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise ExecutionError(f"the oracle's child process exited with status {code}")
+        return [BitString(int(v, 16), int(n, 16)) for n, v in map(bytes.split, data.splitlines())]
+
+    try:
+        yield collect
+    finally:
+        if not pipe.closed:
+            import signal  # on this path alone, so importing d3c costs no more
+
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @dataclass
@@ -325,79 +381,80 @@ def execute(
             f"suite produces {suite.iva_bits}-bit values but the plan assumes {T}"
         )
 
-    nodes = range(1, K + 1)
-    auditor = _Auditor()
+    with _oracle_beside(corpus, suite, K) as oracle_outputs:
+        nodes = range(1, K + 1)
+        auditor = _Auditor()
 
-    # per-node allowed file sets across all schemes
-    allowed = {k: {n for scheme in schemes for n in scheme.storage[k]} for k in nodes}
-    file_views = {k: _NodeFiles(k, corpus, allowed[k], auditor) for k in nodes}
+        # per-node allowed file sets across all schemes
+        allowed = {k: {n for scheme in schemes for n in scheme.storage[k]} for k in nodes}
+        file_views = {k: _NodeFiles(k, corpus, allowed[k], auditor) for k in nodes}
 
-    total_bits = 0
-    overhead_bits = 0
-    computed_values = {k: 0 for k in nodes}
-    sent_signals = {k: 0 for k in nodes}
-    sent_bits = {k: 0 for k in nodes}
-    # each node's reduce input, indexed by file id - 1
-    collected: dict[int, list[int | None]] = {k: [None] * N_total for k in nodes}
+        total_bits = 0
+        overhead_bits = 0
+        computed_values = {k: 0 for k in nodes}
+        sent_signals = {k: 0 for k in nodes}
+        sent_bits = {k: 0 for k in nodes}
+        # each node's reduce input, indexed by file id - 1
+        collected: dict[int, list[int | None]] = {k: [None] * N_total for k in nodes}
 
-    map_fn = suite.map_fn
-    for scheme in schemes:
-        # keyed by plain (target, file) tuples, which hash and compare equal
-        # to IvaId, so IvaId lookups still find every value
-        computed: dict[int, dict[IvaId, int]] = {k: {} for k in nodes}
-        for batch, files in scheme.batches.items():
-            for k in batch.s:
-                store, read = computed[k], file_views[k].read
-                for q in scheme.targets(k, batch):
-                    for n in files:
-                        store[q, n] = map_fn(q, n, read(n))
-        for k in nodes:
-            computed_values[k] += len(computed[k])
+        map_fn = suite.map_fn
+        for scheme in schemes:
+            # keyed by plain (target, file) tuples, which hash and compare equal
+            # to IvaId, so IvaId lookups still find every value
+            computed: dict[int, dict[IvaId, int]] = {k: {} for k in nodes}
+            for batch, files in scheme.batches.items():
+                for k in batch.s:
+                    store, read = computed[k], file_views[k].read
+                    for q in scheme.targets(k, batch):
+                        for n in files:
+                            store[q, n] = map_fn(q, n, read(n))
+            for k in nodes:
+                computed_values[k] += len(computed[k])
 
-        delivered, bits = run_shuffle(scheme, computed)
-        total_bits += bits
-        # every node receives every signal but its own, so nodes 1 and 2
-        # together hold them all: each misses only what the other holds
-        all_signals = {**delivered[1], **delivered[2]}
-        for (sender, group), signal in all_signals.items():
-            sent_signals[sender] += 1
-            sent_bits[sender] += signal.bit_length
-            overhead_bits += _signal_overhead_bits(K, len(group.i), len(group.j))
-        if trace is not None:
-            write_signal_trace(
-                sorted(all_signals.values(), key=lambda s: (s.group, s.sender)), trace
-            )
-
-        for k in nodes:
-            signal_view = _NodeSignals(delivered[k], auditor)
-            try:
-                values = decode_node(k, scheme, computed[k], signal_view)
-            except Exception as err:
-                raise ExecutionError(f"decode failed at node {k}: {err}") from err
-            for n, value in values.items():
-                collected[k][n - 1] = value
-
-    outputs = []
-    for k in nodes:
-        if None in collected[k]:
-            missing = collected[k].index(None) + 1
-            raise ExecutionError(f"node {k} has no value of file {missing} to reduce")
-        outputs.append(suite.reduce_fn(k, collected[k]))
-
-    first_mismatch = None
-    for k, got, want in zip(nodes, outputs, oracle(corpus, suite, K)):
-        for source, out in (("reduce", got), ("oracle", want)):
-            if out.length != suite.output_bits:
-                raise ExecutionError(
-                    f"node {k}: {source} output has {out.length} bits "
-                    f"but the suite declares {suite.output_bits}"
+            delivered, bits = run_shuffle(scheme, computed)
+            total_bits += bits
+            # every node receives every signal but its own, so nodes 1 and 2
+            # together hold them all: each misses only what the other holds
+            all_signals = {**delivered[1], **delivered[2]}
+            for (sender, group), signal in all_signals.items():
+                sent_signals[sender] += 1
+                sent_bits[sender] += signal.bit_length
+                overhead_bits += _signal_overhead_bits(K, len(group.i), len(group.j))
+            if trace is not None:
+                write_signal_trace(
+                    sorted(all_signals.values(), key=lambda s: (s.group, s.sender)), trace
                 )
-        if got != want and first_mismatch is None:
-            first_mismatch = {
-                "node": k,
-                "expected": want.to_bytes().hex(),
-                "actual": got.to_bytes().hex(),
-            }
+
+            for k in nodes:
+                signal_view = _NodeSignals(delivered[k], auditor)
+                try:
+                    values = decode_node(k, scheme, computed[k], signal_view)
+                except Exception as err:
+                    raise ExecutionError(f"decode failed at node {k}: {err}") from err
+                for n, value in values.items():
+                    collected[k][n - 1] = value
+
+        outputs = []
+        for k in nodes:
+            if None in collected[k]:
+                missing = collected[k].index(None) + 1
+                raise ExecutionError(f"node {k} has no value of file {missing} to reduce")
+            outputs.append(suite.reduce_fn(k, collected[k]))
+
+        first_mismatch = None
+        for k, got, want in zip(nodes, outputs, oracle_outputs()):
+            for source, out in (("reduce", got), ("oracle", want)):
+                if out.length != suite.output_bits:
+                    raise ExecutionError(
+                        f"node {k}: {source} output has {out.length} bits "
+                        f"but the suite declares {suite.output_bits}"
+                    )
+            if got != want and first_mismatch is None:
+                first_mismatch = {
+                    "node": k,
+                    "expected": want.to_bytes().hex(),
+                    "actual": got.to_bytes().hex(),
+                }
 
     stored_total = sum(len(allowed[k]) for k in nodes)
     measured = LoadReport(

@@ -370,7 +370,7 @@ def test_row_budget_refuses_only_above_it(capsys, monkeypatch):
     for argv, rows in (
         (("tradeoff", "--K", "10", "--r", "4.5", "--resolution", "2"), 5 * 3 + 1),
         (("tradeoff", "--K", "10", "--r", "3", "--resolution", "2"), 4 * 3 + 1),
-        (("tradeoff", "--K", "10", "--r", "4.5", "--resolution", "50", "--format", "json"), 6),
+        (("tradeoff", "--K", "10", "--r", "4.5", "--format", "json"), 6),
         (("tradeoff", "--K", "10", "--cstar-sweep"), 180),
         (("sweep", "--K", "10", "--r", "2,4.5", "--resolution", "20"), 3 + 20 + 5 + 20),
         (("sweep", "--K", "4", "--r", "2.5", "--c", "1,5/4,3/2"), 3 + 3),
@@ -428,6 +428,9 @@ def test_zero_value_size_is_rejected(capsys):
         # refused before the size check, which these requests would also fail
         (("sweep", "--K", "4", "--r", "2", "--T", "8", "--resolution", str(2**21)), "--T"),
         (("tradeoff", "--K", str(10**6), "--cstar-sweep", "--r", "2"), "--r"),
+        # JSON writes the curve points alone
+        (("tradeoff", "--K", "10", "--r", "4.5", "--resolution", "50", "--format", "json"),
+         "--resolution"),
     ],
 )
 def test_flag_the_mode_ignores_is_refused(capsys, argv, flag):

@@ -1,15 +1,21 @@
 """End-to-end runs: corpus, function suites, oracle verification, audit."""
 
+import errno
 import hashlib
 import io
 import json
+import math
+import os
+import signal
+import threading
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from d3c.bits import BitString
-from d3c.combinatorics import binomial
+from d3c.combinatorics import binomial, group_divisor
 from d3c.composer import minimal_files, plan_for_target, safe_iva_bits
 from d3c.engine import (
     _NodeFiles,
@@ -140,7 +146,7 @@ def test_zero_values_are_values():
     assert report.measured.communication_load == Fraction(1, 6)
 
 
-def test_reduce_output_of_the_wrong_width_is_refused():
+def _run_with_a_narrow_reduce():
     # the suite declares 16-bit outputs but its reduce yields 8 bits
     suite = FunctionSuite(
         default_suite(8).map_fn, lambda target, values: BitString(sum(values) % 256, 8), 8, 16
@@ -149,6 +155,15 @@ def test_reduce_output_of_the_wrong_width_is_refused():
     refused = "node 1: reduce output has 8 bits but the suite declares 16"
     with pytest.raises(ExecutionError, match=refused):
         execute(scheme, generate_corpus(6, 64, 0), suite)
+
+
+def test_reduce_output_of_the_wrong_width_is_refused():
+    _run_with_a_narrow_reduce()
+
+
+def test_reduce_output_of_the_wrong_width_is_refused_with_a_forked_oracle(forked_oracle):
+    _run_with_a_narrow_reduce()
+    assert len(forked_oracle) == 1
 
 
 def test_golden_run_exact_loads():
@@ -325,11 +340,10 @@ def test_corpus_plan_mismatch():
         execute(scheme, generate_corpus(6, 64, 0), default_suite(16))
 
 
-def test_flipped_signal_bit_fails_verification(monkeypatch):
+def _flip_a_signal_bit(monkeypatch, receiver):
+    """Flip one payload bit of a signal that ``receiver`` decodes with."""
     import d3c.engine
-    from d3c.cli import main
 
-    receiver = 3
     real_run_shuffle = d3c.engine.run_shuffle
 
     def corrupting_run_shuffle(scheme, computed):
@@ -342,6 +356,13 @@ def test_flipped_signal_bit_fails_verification(monkeypatch):
         return delivered, bits
 
     monkeypatch.setattr(d3c.engine, "run_shuffle", corrupting_run_shuffle)
+
+
+def test_flipped_signal_bit_fails_verification(monkeypatch):
+    from d3c.cli import main
+
+    receiver = 3
+    _flip_a_signal_bit(monkeypatch, receiver)
     report = run_basic(3, 6, 2, 2, T=8)
     assert report.verification_passed is False
     assert report.first_mismatch["node"] == receiver
@@ -388,3 +409,152 @@ def test_reduce_input_with_a_hole_raises(monkeypatch):
     monkeypatch.setattr(d3c.engine, "decode_node", dropping_decode_node)
     with pytest.raises(ExecutionError, match="node 2 has no value of file 6 to reduce"):
         run_basic(3, 6, 2, 2, T=8)
+
+
+def test_a_wrong_reduce_input_gives_the_same_mismatch_with_either_oracle(
+    monkeypatch, forked_oracle
+):
+    import d3c.engine
+
+    _flip_a_signal_bit(monkeypatch, 3)
+    monkeypatch.setattr(d3c.engine, "_FORK_MIN_VALUES", math.inf)
+    in_process = run_basic(3, 6, 2, 2, T=8)
+    assert not forked_oracle
+    monkeypatch.setattr(d3c.engine, "_FORK_MIN_VALUES", 0)
+    forked = run_basic(3, 6, 2, 2, T=8)
+    assert len(forked_oracle) == 1
+    assert in_process.first_mismatch["node"] == 3
+    assert forked.to_dict() == in_process.to_dict()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_run_that_fails_kills_and_reaps_its_oracle_child(monkeypatch, forked_oracle):
+    import d3c.engine
+
+    def slow_oracle(corpus, suite, K):
+        time.sleep(60)  # still running when the run fails
+
+    real_run_shuffle = d3c.engine.run_shuffle
+
+    def dropping_run_shuffle(scheme, computed):
+        delivered, bits = real_run_shuffle(scheme, computed)
+        delivered[3].clear()
+        return delivered, bits
+
+    monkeypatch.setattr(d3c.engine, "oracle", slow_oracle)
+    monkeypatch.setattr(d3c.engine, "run_shuffle", dropping_run_shuffle)
+    start = time.monotonic()
+    with pytest.raises(ExecutionError, match="decode failed at node 3:"):
+        run_basic(3, 6, 2, 2, T=8)
+    assert time.monotonic() - start < 30
+    assert len(forked_oracle) == 1
+    _no_child_left()
+
+
+def test_an_oracle_child_that_fails_fails_the_run(monkeypatch, forked_oracle):
+    import d3c.engine
+
+    def failing_oracle(corpus, suite, K):
+        raise RuntimeError("the oracle failed")
+
+    monkeypatch.setattr(d3c.engine, "oracle", failing_oracle)
+    with pytest.raises(ExecutionError, match="oracle's child process exited with status 1"):
+        run_basic(3, 6, 2, 2, T=8)
+    assert len(forked_oracle) == 1
+    _no_child_left()
+
+
+def test_the_oracle_child_flushes_nothing_it_inherited(tmp_path, forked_oracle):
+    path = tmp_path / "trace.txt"
+    with open(path, "w") as trace:
+        trace.write("written before the run\n")  # still buffered when the child forks
+        report = run_basic(3, 6, 2, 2, T=8, trace=trace)
+    assert report.verification_passed
+    assert len(forked_oracle) == 1
+    assert path.read_text().count("written before the run") == 1
+
+
+def test_an_oracle_output_larger_than_the_pipe_comes_through(monkeypatch, forked_oracle):
+    import d3c.engine
+
+    def timed_out(signum, frame):
+        raise TimeoutError("the forked oracle did not deliver its outputs")
+
+    # 3 outputs of 2**20 bits: 768 KiB of hex, past any pipe buffer, and
+    # 315,653 decimal digits each, past the interpreter's int-to-str limit
+    scheme = build_basic_scheme(make_params(3, 6, 2, 2, T=8))
+    corpus, suite = generate_corpus(6, 64, 0), default_suite(8, 2**20)
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)  # a parent that reaped before reading would wait forever
+    try:
+        forked = execute(scheme, corpus, suite)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forked_oracle) == 1
+    assert forked.verification_passed and len(forked.outputs[0]) == 2**20 // 4
+    monkeypatch.setattr(d3c.engine, "_FORK_MIN_VALUES", math.inf)
+    assert execute(scheme, corpus, suite).to_dict() == forked.to_dict()
+
+
+def test_only_a_large_run_in_a_one_thread_process_forks(monkeypatch):
+    import d3c.engine
+
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    # the largest scheme of ``verify --K 7``: N*K = 1,470, below the threshold
+    N = group_divisor(7, 5, 3)
+    assert N * 7 == 1470 < d3c.engine._FORK_MIN_VALUES
+    scheme = build_basic_scheme(make_params(7, N, 5, 3, F=16, T=12))
+    assert execute(scheme, generate_corpus(N, 16, 0), default_suite(12)).verification_passed
+    assert forks == []
+    # at K=3, N=6 the run has N*K = 18 values: it forks from a threshold of 18
+    for threshold, count in ((19, 0), (18, 1)):
+        monkeypatch.setattr(d3c.engine, "_FORK_MIN_VALUES", threshold)
+        assert run_basic(3, 6, 2, 2, T=8).verification_passed
+        assert len(forks) == count
+    # a second thread keeps the oracle in-process
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        assert run_basic(3, 6, 2, 2, T=8).verification_passed
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert len(forks) == 1
+
+
+def test_without_a_pipe_or_a_child_the_oracle_runs_in_process(monkeypatch, forked_oracle):
+    forked = run_basic(3, 6, 2, 2, T=8).to_dict()
+    pipes = []
+    real_pipe = os.pipe
+
+    def pipe():
+        pipes.append(real_pipe())
+        return pipes[-1]
+
+    def refused():
+        raise OSError(errno.EAGAIN, "refused")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", refused)
+    assert run_basic(3, 6, 2, 2, T=8).to_dict() == forked
+    (ends,) = pipes
+    for fd in ends:  # the unused pipe is closed
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    monkeypatch.setattr(os, "pipe", refused)
+    assert run_basic(3, 6, 2, 2, T=8).to_dict() == forked
+    assert len(forked_oracle) == 1

@@ -7,7 +7,10 @@ and signal read counters of its audit. The digests are the sha256 of
 cover a basic d3c scheme at g = 1 and at g = r, the cdc baseline, one
 composite plan on each of the routes e1, e2, e3 and clamp at its minimal
 file count, and a basic scheme with T = 520 bits, which takes the
-multi-block path of the keyed digest.
+multi-block path of the keyed digest. Each run is checked twice: with the
+oracle in-process, as these small runs compute it, and with the oracle
+forked into a child as large runs do, so both placements give the same
+bytes.
 
 Regenerate the digests, only after a deliberate output change, with
 
@@ -74,6 +77,12 @@ def digest(name: str) -> dict:
 @pytest.mark.parametrize("name", RUNS)
 def test_run_matches_recorded_digest(name):
     assert digest(name) == json.loads(DIGESTS.read_text())[name]
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_run_with_a_forked_oracle_matches_recorded_digest(name, forked_oracle):
+    assert digest(name) == json.loads(DIGESTS.read_text())[name]
+    assert len(forked_oracle) == 1
 
 
 def test_every_run_has_a_digest():
