@@ -1,13 +1,12 @@
 """End-to-end simulated runs: corpus, map, coded shuffle, reduce, verify.
 
-Nodes are logical entities in one process; a large run's oracle alone runs
-in a forked child. Isolation is enforced by construction: every file or
-signal access goes through a per-node view that admits only the node's
-placed files and the signals actually delivered to it. An access outside
-the plan ends the run with ``ExecutionError``, so a run that finishes had
-none; every report carries the two access counters. Every plan runs on
-the corpus's own file ids: a composite group's batches hold the ids of its
-files in the corpus.
+Nodes are logical entities in one process; a large run forks its oracle
+into a child. Isolation is enforced by construction: every file or signal
+access goes through a per-node view that admits only the node's placed
+files and the signals delivered to it. An access outside the plan ends the
+run with ``ExecutionError``, so a run that finishes had none; every report
+carries the two access counters. Every plan runs on the corpus's own file
+ids: a composite group's batches hold the ids of its files in the corpus.
 
 All randomness comes from one explicit seed; reports contain no wall-clock
 fields, so identical inputs serialize byte-identically.
@@ -69,10 +68,9 @@ class FunctionSuite:
 
     ``map_fn(target, file_id, file_bytes)`` yields the intermediate value as
     an int below ``2**iva_bits``; ``reduce_fn(target, values)`` consumes the
-    N value ints in ascending file order and yields the B-bit output. Both
-    must be pure: a forked oracle sees no state that the run's calls change.
-    ``execute`` checks every reduce and oracle output against
-    ``output_bits`` and raises ``ExecutionError`` on another width.
+    N value ints in ascending file order and yields the B-bit output; both
+    are pure, as a forked oracle sees no state that the run's calls change.
+    ``execute`` checks every output's width against ``output_bits``.
     """
 
     map_fn: Callable[[int, int, bytes], int]
@@ -164,16 +162,22 @@ def oracle(corpus: Corpus, suite: FunctionSuite, K: int) -> list[BitString]:
     return outputs
 
 
-_FORK_MIN_VALUES = 2**15  # N*K from which forking the oracle saves more than it costs
+_FORK_MIN_VALUES = 2**17  # N*K from which a forked oracle was measured to save time (README)
+
+
+def _one_thread() -> bool:  # the kernel's task list also shows native threads
+    tasks = "/proc/self/task"
+    return len(os.listdir(tasks)) == 1 if os.path.isdir(tasks) else threading.active_count() == 1
 
 
 @contextmanager
-def _oracle_beside(corpus: Corpus, suite: FunctionSuite, K: int) -> Iterator[Callable[[], list]]:
-    """Yield a call that returns ``oracle(corpus, suite, K)``, computed by a
-    child forked here from N*K >= ``_FORK_MIN_VALUES`` in a one-thread
-    process, else in-process. No child outlives the block."""
+def _oracle_beside(corpus: Corpus, suite: FunctionSuite, K: int) -> Iterator[list[BitString]]:
+    """Yield a list that holds ``oracle(corpus, suite, K)`` once the block
+    ends. A large run in a one-thread process computes it meanwhile in a
+    child forked here, any other at the block's end; no child outlives it."""
+    want: list[BitString] = []
     read_end = pid = None
-    if corpus.N * K >= _FORK_MIN_VALUES and hasattr(os, "fork") and threading.active_count() == 1:
+    if corpus.N * K >= _FORK_MIN_VALUES and hasattr(os, "fork") and _one_thread():
         try:
             read_end, write_end = os.pipe()
             pid = os.fork()
@@ -181,37 +185,36 @@ def _oracle_beside(corpus: Corpus, suite: FunctionSuite, K: int) -> Iterator[Cal
             if read_end is not None:
                 os.close(read_end), os.close(write_end)
     if pid is None:
-        yield lambda: oracle(corpus, suite, K)
+        yield want
+        want += oracle(corpus, suite, K)
         return
     if pid == 0:  # the child: it never returns into the caller nor flushes what it inherited
         status = 1
         try:
-            with os.fdopen(write_end, "wb") as pipe:
-                for out in oracle(corpus, suite, K):
-                    pipe.write(b"%x %x\n" % (out.length, out.value))
+            with open(write_end, "wb") as pipe:
+                try:
+                    outputs = oracle(corpus, suite, K)
+                except Exception as exc:  # quoted by the parent's ExecutionError
+                    pipe.write(b"%a" % (exc,))
+                    raise
+                pipe.write(b"".join(b"%x %x\n" % (o.length, o.value) for o in outputs))
             status = 0
         finally:
             os._exit(status)
-    os.close(write_end)
-    pipe = os.fdopen(read_end, "rb")  # open until the child is reaped
-
-    def collect() -> list[BitString]:
-        data = pipe.read()  # to EOF before reaping, so a full pipe cannot block the child
-        status = os.waitpid(pid, 0)[1]
-        pipe.close()
+    try:  # from the fork on, whatever the parent raises kills and reaps the child
+        os.close(write_end)  # the child's copy alone holds the pipe open
+        yield want
+        # to EOF before reaping, so a full pipe cannot block the child
+        data = b"".join(iter(lambda: os.read(read_end, 1 << 16), b""))
+        status, pid = os.waitpid(pid, 0)[1], None  # reaped
         if status:
-            code = os.waitstatus_to_exitcode(status)
-            raise ExecutionError(f"the oracle's child process exited with status {code}")
-        return [BitString(int(v, 16), int(n, 16)) for n, v in map(bytes.split, data.splitlines())]
-
-    try:
-        yield collect
+            code, why = os.waitstatus_to_exitcode(status), data.decode(errors="replace")
+            raise ExecutionError(f"the oracle's child process exited with status {code}: {why}")
+        want += [BitString(int(v, 16), int(n, 16)) for n, v in map(bytes.split, data.splitlines())]
     finally:
-        if not pipe.closed:
-            import signal  # on this path alone, so importing d3c costs no more
-
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
+        os.close(read_end)
+        if pid is not None:  # the run failed before it needed the oracle
+            os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
 
 
@@ -441,20 +444,20 @@ def execute(
                 raise ExecutionError(f"node {k} has no value of file {missing} to reduce")
             outputs.append(suite.reduce_fn(k, collected[k]))
 
-        first_mismatch = None
-        for k, got, want in zip(nodes, outputs, oracle_outputs()):
-            for source, out in (("reduce", got), ("oracle", want)):
-                if out.length != suite.output_bits:
-                    raise ExecutionError(
-                        f"node {k}: {source} output has {out.length} bits "
-                        f"but the suite declares {suite.output_bits}"
-                    )
-            if got != want and first_mismatch is None:
-                first_mismatch = {
-                    "node": k,
-                    "expected": want.to_bytes().hex(),
-                    "actual": got.to_bytes().hex(),
-                }
+    first_mismatch = None
+    for k, got, want in zip(nodes, outputs, oracle_outputs):
+        for source, out in (("reduce", got), ("oracle", want)):
+            if out.length != suite.output_bits:
+                raise ExecutionError(
+                    f"node {k}: {source} output has {out.length} bits "
+                    f"but the suite declares {suite.output_bits}"
+                )
+        if got != want and first_mismatch is None:
+            first_mismatch = {
+                "node": k,
+                "expected": want.to_bytes().hex(),
+                "actual": got.to_bytes().hex(),
+            }
 
     stored_total = sum(len(allowed[k]) for k in nodes)
     measured = LoadReport(

@@ -1,5 +1,6 @@
 """End-to-end runs: corpus, function suites, oracle verification, audit."""
 
+import _thread
 import errno
 import hashlib
 import io
@@ -462,9 +463,29 @@ def test_an_oracle_child_that_fails_fails_the_run(monkeypatch, forked_oracle):
         raise RuntimeError("the oracle failed")
 
     monkeypatch.setattr(d3c.engine, "oracle", failing_oracle)
-    with pytest.raises(ExecutionError, match="oracle's child process exited with status 1"):
+    with pytest.raises(
+        ExecutionError,
+        match=r"oracle's child process exited with status 1: RuntimeError\('the oracle failed'\)$",
+    ):
         run_basic(3, 6, 2, 2, T=8)
     assert len(forked_oracle) == 1
+    _no_child_left()
+
+
+def test_a_parent_that_fails_right_after_the_fork_leaves_no_child(monkeypatch, forked_oracle):
+    real_close = os.close
+    failed = []
+
+    def close(fd):
+        real_close(fd)
+        if forked_oracle and not failed:  # the parent's first step after the fork
+            failed.append(fd)
+            raise OSError(errno.EIO, "failed after the fork")
+
+    monkeypatch.setattr(os, "close", close)
+    with pytest.raises(OSError, match="failed after the fork"):
+        run_basic(3, 6, 2, 2, T=8)
+    assert len(forked_oracle) == 1 and len(failed) == 1
     _no_child_left()
 
 
@@ -532,8 +553,42 @@ def test_only_a_large_run_in_a_one_thread_process_forks(monkeypatch):
     finally:
         stop.set()
         waiter.join(timeout=10)
+        _until_one_thread()
     assert not waiter.is_alive()
     assert len(forks) == 1
+
+
+def _until_one_thread():
+    """Wait until the threads a test started have left the kernel's task
+    list, which can lag behind ``join``, so that later runs fork again."""
+    deadline = time.monotonic() + 10
+    while os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) > 1:
+        assert time.monotonic() < deadline, "a thread outlived its test"
+        time.sleep(0.01)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no kernel list of threads")
+def test_a_thread_that_threading_does_not_list_keeps_the_oracle_in_process(forked_oracle):
+    release, done = _thread.allocate_lock(), _thread.allocate_lock()
+    release.acquire()
+    done.acquire()
+
+    def hold():
+        release.acquire()
+        done.release()
+
+    # started as an extension module starts a native thread: threading never sees it
+    _thread.start_new_thread(hold, ())
+    try:
+        assert threading.active_count() == 1
+        assert run_basic(3, 6, 2, 2, T=8).verification_passed
+        assert forked_oracle == []
+    finally:
+        release.release()
+        assert done.acquire(timeout=10)
+        _until_one_thread()
+    assert run_basic(3, 6, 2, 2, T=8).verification_passed
+    assert len(forked_oracle) == 1
 
 
 def test_without_a_pipe_or_a_child_the_oracle_runs_in_process(monkeypatch, forked_oracle):
