@@ -3,10 +3,11 @@
 Nodes are logical entities in one process; a large run forks its oracle
 into a child. Isolation is enforced by construction: every file or signal
 access goes through a per-node view that admits only the node's placed
-files and the signals delivered to it. An access outside the plan ends the
-run with ``ExecutionError``, so a run that finishes had none; every report
-carries the two access counters. Every plan runs on the corpus's own file
-ids: a composite group's batches hold the ids of its files in the corpus.
+files and the signals actually delivered to it. An access outside the plan
+ends the run with ``ExecutionError``, so a run that finishes had none;
+every report carries the two access counters. Every plan runs on the
+corpus's own file ids: a composite group's batches hold the ids of its
+files in the corpus.
 
 All randomness comes from one explicit seed; reports contain no wall-clock
 fields, so identical inputs serialize byte-identically.
@@ -69,8 +70,9 @@ class FunctionSuite:
     ``map_fn(target, file_id, file_bytes)`` yields the intermediate value as
     an int below ``2**iva_bits``; ``reduce_fn(target, values)`` consumes the
     N value ints in ascending file order and yields the B-bit output; both
-    are pure, as a forked oracle sees no state that the run's calls change.
-    ``execute`` checks every output's width against ``output_bits``.
+    must be pure, as a forked oracle sees no state that the run's calls
+    change. ``execute`` checks every reduce and oracle output against
+    ``output_bits`` and raises ``ExecutionError`` on another width.
     """
 
     map_fn: Callable[[int, int, bytes], int]
