@@ -137,7 +137,9 @@ def plan_for_target(K: int, N: int, r: RationalLike, c: RationalLike) -> Composi
     r, c = to_fraction(r), to_fraction(c)
     route, groups = _route(K, r, c)
     need = _files_needed(K, groups)
-    if N < 1 or N % need:
+    if N < 1:
+        raise InvalidParameterError(f"file count must be positive, got {N}")
+    if N % need:
         raise DivisibilityError(
             f"corpus of {N} files cannot be split for target (r={r}, c={c}); "
             f"the smallest admissible file count is {need}",

@@ -1,13 +1,12 @@
 """End-to-end simulated runs: corpus, map, coded shuffle, reduce, verify.
 
 Nodes are logical entities in one process; a large run forks its oracle
-into a child. Isolation is enforced by construction: every file or signal
-access goes through a per-node view that admits only the node's placed
-files and the signals actually delivered to it. An access outside the plan
-ends the run with ``ExecutionError``, so a run that finishes had none;
-every report carries the two access counters. Every plan runs on the
-corpus's own file ids: a composite group's batches hold the ids of its
-files in the corpus.
+into a child. Each node has one record (``_Node``): the gate that admits
+only its placed files and delivered signals, and its counts of file and
+signal reads and of signals and bits sent, from which the report is read.
+An access outside the plan ends the run with ``ExecutionError``, so a run
+that finishes had none. Every plan runs on the corpus's own file ids: a
+composite group's batches hold the ids of its files in the corpus.
 
 All randomness comes from one explicit seed; reports contain no wall-clock
 fields, so identical inputs serialize byte-identically.
@@ -220,45 +219,31 @@ def _oracle_beside(corpus: Corpus, suite: FunctionSuite, K: int) -> Iterator[lis
             os.waitpid(pid, 0)
 
 
-@dataclass
-class _Auditor:
-    file_reads: int = 0
-    signal_reads: int = 0
+class _Node:
+    """One node's record of a run: the gate to its placed files (a refused read
+    raises and is not counted), the signals delivered to it in the current
+    scheme (``get`` counts each lookup that finds one) and its counts. The
+    engine reads a file once per map evaluation: file reads = computed values."""
 
+    __slots__ = ("k", "files", "stored", "delivered",
+                 "file_reads", "signal_reads", "sent_signals", "sent_bits")
 
-class _NodeFiles:
-    """Per-node gate in front of the corpus: only placed files are readable."""
-
-    __slots__ = ("node", "corpus", "allowed", "auditor")
-
-    def __init__(self, node: int, corpus: Corpus, allowed: set[int], auditor: _Auditor):
-        self.node = node
-        self.corpus = corpus
-        self.allowed = allowed
-        self.auditor = auditor
+    def __init__(self, k: int, corpus: Corpus, stored: set[int]):
+        self.k, self.files, self.stored, self.delivered = k, corpus.files, stored, {}
+        self.file_reads = self.signal_reads = self.sent_signals = self.sent_bits = 0
 
     def read(self, file_id: int) -> bytes:
-        if file_id not in self.allowed:
+        if file_id not in self.stored:
             raise ExecutionError(
-                f"node {self.node} attempted to read file {file_id} outside its storage"
+                f"node {self.k} attempted to read file {file_id} outside its storage"
             )
-        self.auditor.file_reads += 1
-        return self.corpus.files[file_id - 1]
-
-
-class _NodeSignals:
-    """Per-node view of the delivered signals that counts every lookup found."""
-
-    __slots__ = ("delivered", "auditor")
-
-    def __init__(self, delivered: dict, auditor: _Auditor):
-        self.delivered = delivered
-        self.auditor = auditor
+        self.file_reads += 1
+        return self.files[file_id - 1]
 
     def get(self, key, default=None):
         found = self.delivered.get(key, default)
         if found is not None:
-            self.auditor.signal_reads += 1
+            self.signal_reads += 1
         return found
 
 
@@ -387,67 +372,57 @@ def execute(
         )
 
     with _oracle_beside(corpus, suite, K) as oracle_outputs:
-        nodes = range(1, K + 1)
-        auditor = _Auditor()
-
-        # per-node allowed file sets across all schemes
-        allowed = {k: {n for scheme in schemes for n in scheme.storage[k]} for k in nodes}
-        file_views = {k: _NodeFiles(k, corpus, allowed[k], auditor) for k in nodes}
-
-        total_bits = 0
+        nodes = [
+            _Node(k, corpus, {n for scheme in schemes for n in scheme.storage[k]})
+            for k in range(1, K + 1)
+        ]
         overhead_bits = 0
-        computed_values = {k: 0 for k in nodes}
-        sent_signals = {k: 0 for k in nodes}
-        sent_bits = {k: 0 for k in nodes}
         # each node's reduce input, indexed by file id - 1
-        collected: dict[int, list[int | None]] = {k: [None] * N_total for k in nodes}
+        collected = [[None] * N_total for _ in nodes]
 
         map_fn = suite.map_fn
         for scheme in schemes:
             # keyed by plain (target, file) tuples, which hash and compare equal
             # to IvaId, so IvaId lookups still find every value
-            computed: dict[int, dict[IvaId, int]] = {k: {} for k in nodes}
+            computed: dict[int, dict[IvaId, int]] = {node.k: {} for node in nodes}
             for batch, files in scheme.batches.items():
                 for k in batch.s:
-                    store, read = computed[k], file_views[k].read
+                    store, read = computed[k], nodes[k - 1].read
                     for q in scheme.targets(k, batch):
                         for n in files:
                             store[q, n] = map_fn(q, n, read(n))
-            for k in nodes:
-                computed_values[k] += len(computed[k])
 
-            delivered, bits = run_shuffle(scheme, computed)
-            total_bits += bits
+            delivered = run_shuffle(scheme, computed)[0]
             # every node receives every signal but its own, so nodes 1 and 2
             # together hold them all: each misses only what the other holds
             all_signals = {**delivered[1], **delivered[2]}
             for (sender, group), signal in all_signals.items():
-                sent_signals[sender] += 1
-                sent_bits[sender] += signal.bit_length
+                nodes[sender - 1].sent_signals += 1
+                nodes[sender - 1].sent_bits += signal.bit_length
                 overhead_bits += _signal_overhead_bits(K, len(group.i), len(group.j))
             if trace is not None:
                 write_signal_trace(
                     sorted(all_signals.values(), key=lambda s: (s.group, s.sender)), trace
                 )
 
-            for k in nodes:
-                signal_view = _NodeSignals(delivered[k], auditor)
+            for node, inputs in zip(nodes, collected):
+                node.delivered = delivered[node.k]
                 try:
-                    values = decode_node(k, scheme, computed[k], signal_view)
+                    values = decode_node(node.k, scheme, computed[node.k], node)
                 except Exception as err:
-                    raise ExecutionError(f"decode failed at node {k}: {err}") from err
+                    raise ExecutionError(f"decode failed at node {node.k}: {err}") from err
                 for n, value in values.items():
-                    collected[k][n - 1] = value
+                    inputs[n - 1] = value
 
         outputs = []
-        for k in nodes:
-            if None in collected[k]:
-                missing = collected[k].index(None) + 1
-                raise ExecutionError(f"node {k} has no value of file {missing} to reduce")
-            outputs.append(suite.reduce_fn(k, collected[k]))
+        for node, inputs in zip(nodes, collected):
+            if None in inputs:
+                missing = inputs.index(None) + 1
+                raise ExecutionError(f"node {node.k} has no value of file {missing} to reduce")
+            outputs.append(suite.reduce_fn(node.k, inputs))
 
     first_mismatch = None
-    for k, got, want in zip(nodes, outputs, oracle_outputs):
+    for k, got, want in zip(range(1, K + 1), outputs, oracle_outputs):
         for source, out in (("reduce", got), ("oracle", want)):
             if out.length != suite.output_bits:
                 raise ExecutionError(
@@ -461,26 +436,28 @@ def execute(
                 "actual": got.to_bytes().hex(),
             }
 
-    stored_total = sum(len(allowed[k]) for k in nodes)
+    file_reads = sum(node.file_reads for node in nodes)
+    signal_reads = sum(node.signal_reads for node in nodes)
+    all_sent = sum(node.sent_signals for node in nodes)
+    all_sent_bits = sum(node.sent_bits for node in nodes)
     measured = LoadReport(
-        storage_space=Fraction(stored_total, N_total),
-        computation_load=Fraction(sum(computed_values.values()), N_total * K),
-        communication_load=Fraction(total_bits, N_total * K * T),
+        storage_space=Fraction(sum(len(node.stored) for node in nodes), N_total),
+        computation_load=Fraction(file_reads, N_total * K),
+        communication_load=Fraction(all_sent_bits, N_total * K * T),
     )
     # every signal is broadcast to the other K - 1 nodes, so each node
     # receives all signals but its own
-    all_sent, all_sent_bits = sum(sent_signals.values()), sum(sent_bits.values())
     per_node = tuple(
         PerNodeStats(
-            node=k,
-            stored_files=len(allowed[k]),
-            computed_values=computed_values[k],
-            sent_signals=sent_signals[k],
-            sent_bits=sent_bits[k],
-            received_signals=all_sent - sent_signals[k],
-            received_bits=all_sent_bits - sent_bits[k],
+            node=node.k,
+            stored_files=len(node.stored),
+            computed_values=node.file_reads,
+            sent_signals=node.sent_signals,
+            sent_bits=node.sent_bits,
+            received_signals=all_sent - node.sent_signals,
+            received_bits=all_sent_bits - node.sent_bits,
         )
-        for k in nodes
+        for node in nodes
     )
     return ExecutionReport(
         K=K,
@@ -496,5 +473,6 @@ def execute(
         verification_passed=first_mismatch is None,
         first_mismatch=first_mismatch,
         overhead_bits=overhead_bits,
-        audit={**asdict(auditor), "violations": []},  # an access outside the plan raises
+        # an access outside the plan raises, so a finished run had none
+        audit={"file_reads": file_reads, "signal_reads": signal_reads, "violations": []},
     )

@@ -124,6 +124,12 @@ def test_simulate_flag_conflicts(capsys):
         capsys, "simulate", "--K", "3", "--N", "6", "--r", "2", "--cdc", "--g", "2"
     )
     assert code == 1
+    code, _, err = run(
+        capsys, "simulate", "--K", "3", "--N", "6", "--r", "2", "--cdc", "--c", "3/2"
+    )
+    assert code == 1 and "the baseline always computes c = r" in err
+    code, _, err = run(capsys, "simulate", "--K", "3", "--N", "6", "--r", "5/2", "--g", "1")
+    assert code == 1 and "--g requires integer --r" in err
 
 
 def test_simulate_infeasible_exit(capsys):
@@ -137,6 +143,11 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "tradeoff")[0] == 1  # missing --K
     assert run(capsys, "tradeoff", "--K", "x")[0] == 1
     assert run(capsys)[0] == 1
+    code, _, err = run(capsys, "compare", "--K", "3", "--N", "6", "--r", "2", "--g", "1,x")
+    assert code == 1 and "not a comma-separated integer list" in err
+    for mode in (("--c", "4/3"), ("--g", "1")):  # no files: a usage error on either path
+        code, _, err = run(capsys, "simulate", "--K", "3", "--N", "0", "--r", "2", *mode)
+        assert code == 1 and "file count must be positive, got 0" in err
 
 
 def test_compare_table(capsys):

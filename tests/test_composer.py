@@ -246,6 +246,9 @@ def test_plan_rejects_bad_targets():
         plan_for_target(10, 5040, "4.5", 5)  # c above r
     with pytest.raises(InvalidParameterError):
         plan_for_target(10, 5040, 10, 2)  # r not below K
+    for N in (0, -6):  # a corpus with no files is a usage error, not a divisibility one
+        with pytest.raises(InvalidParameterError, match=f"file count must be positive, got {N}"):
+            plan_for_target(10, N, "4.5", "1.8")
 
 
 def test_safe_iva_bits_meets_segment_divisibility():

@@ -19,8 +19,7 @@ from d3c.bits import BitString
 from d3c.combinatorics import binomial, group_divisor
 from d3c.composer import minimal_files, plan_for_target, safe_iva_bits
 from d3c.engine import (
-    _NodeFiles,
-    _Auditor,
+    _Node,
     _bind,
     _digest_bits,
     FunctionSuite,
@@ -302,12 +301,11 @@ def test_audit_mode_records_and_stays_clean():
 
 def test_out_of_placement_read_is_blocked_and_recorded():
     corpus = generate_corpus(4, 8, 0)
-    auditor = _Auditor()
-    view = _NodeFiles(1, corpus, {1, 2}, auditor)
-    assert view.read(2) == corpus.files[1]
+    node = _Node(1, corpus, {1, 2})
+    assert node.read(2) == corpus.files[1]
     with pytest.raises(ExecutionError, match="node 1 attempted to read file 3"):
-        view.read(3)
-    assert auditor.file_reads == 1  # the refused read is not counted
+        node.read(3)
+    assert node.file_reads == 1  # the refused read is not counted
 
 
 def test_trace_stream():

@@ -1,6 +1,8 @@
 """The benchmark's traced pass still replays ``execute`` through the public
 calls it uses (``map_fn``, ``build_signals``, ``run_shuffle``,
-``decode_node``), and its gates and fault self-test hold on coded_shuffle."""
+``decode_node``), and its gates and fault self-test hold on coded_shuffle
+and on verify_matrix, whose replay covers all 56 schemes of ``d3c verify
+--K 7``."""
 
 import json
 import subprocess
@@ -10,8 +12,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_coded_shuffle_trace_passes_every_gate():
-    argv = ["--workload", "coded_shuffle", "--seed", "0", "--seconds", "0.1", "--trace", "1"]
+def _assert_trace_passes_every_gate(workload):
+    argv = ["--workload", workload, "--seed", "0", "--seconds", "0.1", "--trace", "1"]
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -21,3 +23,11 @@ def test_coded_shuffle_trace_passes_every_gate():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["metrics"]["selftest.failed_frac"]["value"] == 1.0
+
+
+def test_coded_shuffle_trace_passes_every_gate():
+    _assert_trace_passes_every_gate("coded_shuffle")
+
+
+def test_verify_matrix_trace_passes_every_gate():
+    _assert_trace_passes_every_gate("verify_matrix")

@@ -21,7 +21,7 @@ from d3c.cli import main
 from d3c.combinatorics import BatchIndex, binomial, enum_pi
 from d3c.composer import minimal_files, plan_for_target, safe_iva_bits
 from d3c.engine import default_suite, execute, generate_corpus
-from d3c.scheme import IvaId, build_basic_scheme, make_params
+from d3c.scheme import IvaId, build_basic_scheme, build_cdc_scheme, make_params
 from d3c.shuffle import build_signals, decode_node, run_shuffle
 
 MAX_FILES = 3000  # bounds the run time of one example
@@ -67,6 +67,70 @@ def test_executed_plan_meets_curve_and_prediction(target):
         "computation_load": plan.predicted_c,
         "communication_load": plan.predicted_L,
     }, plan.route
+
+
+@st.composite
+def any_plans(draw):
+    """("d3c" | "cdc", K, r, g, eta): a basic scheme with 1 <= g <= r <= K <= 5
+    (g = r for cdc) and eta files per batch; or ("composite", K, r, c), a
+    grid target at K <= 5 on at most 600 files."""
+    kind = draw(st.sampled_from(["d3c", "cdc", "composite"]))
+    if kind == "composite":
+        return ("composite", *draw(grid_targets().filter(
+            lambda t: t[0] <= 5 and minimal_files(*t) <= 600
+        )))
+    K = draw(st.integers(2, 5))
+    r = draw(st.integers(1, K))
+    g = r if kind == "cdc" else draw(st.integers(1, r))
+    return kind, K, r, g, draw(st.integers(1, 2))
+
+
+def _plan_of(spec):
+    """The plan of an ``any_plans`` spec, its value size, and the basic
+    schemes it runs as (kind, r, g, files): one per composite group."""
+    if spec[0] == "composite":
+        _, K, r, c = spec
+        plan = plan_for_target(K, minimal_files(K, r, c), r, c)
+        return plan, safe_iva_bits(plan), [("d3c", sp.r, sp.g, sp.file_count) for sp in plan.groups]
+    kind, K, r, g, eta = spec
+    N, T = eta * binomial(K, r) * binomial(r, g), 2 * g // math.gcd(g, eta)  # g divides eta * T
+    if kind == "cdc":
+        return build_cdc_scheme(K, N, r, F=8, T=T), T, [(kind, r, g, N)]
+    return build_basic_scheme(make_params(K, N, r, g, F=8, T=T)), T, [(kind, r, g, N)]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(any_plans())
+@example(("d3c", 3, 2, 2, 1))
+@example(("cdc", 4, 4, 4, 1))  # r = K: nothing is sent
+@example(("composite", 4, Fraction(2), Fraction(1))).via("corner")
+@example(("composite", 2, Fraction(3, 2), Fraction(1))).via("e1")  # a group with r = K
+@example(("composite", 3, Fraction(2), Fraction(6, 5))).via("e2")
+@example(("composite", 4, Fraction(9, 4), Fraction(3, 2))).via("e3")
+@example(("composite", 3, Fraction(2), Fraction(8, 5))).via("clamp")
+def test_report_counts_meet_their_closed_forms(spec):
+    plan, T, schemes = _plan_of(spec)
+    K = spec[1]
+    N = sum(files for *_, files in schemes)
+    report = execute(plan, generate_corpus(N, 8, 0), default_suite(T))
+    per_node = report.per_node
+    want_values = want_bits = want_stored = want_signals = want_lookups = want_overhead = 0
+    for kind, r, g, files in schemes:
+        c = r if kind == "cdc" else Fraction(r, K) + (1 - Fraction(r, K)) * g
+        signals = math.comb(K, r + 1) * math.comb(r + 1, g + 1) * (g + 1)  # 0 when r = K
+        want_values += c * files * K
+        want_bits += (1 - Fraction(r, K)) / g * files * K * T
+        want_stored += r * files
+        want_signals += signals
+        want_lookups += K * g * math.comb(K - 1, r) * math.comb(r, g)
+        want_overhead += signals * max(1, (K - 1).bit_length()) * (r + g + 3)
+    assert sum(s.computed_values for s in per_node) == report.audit["file_reads"] == want_values
+    assert sum(s.sent_bits for s in per_node) == want_bits
+    assert sum(s.stored_files for s in per_node) == want_stored
+    assert sum(s.sent_signals for s in per_node) == want_signals
+    assert report.audit["signal_reads"] == want_lookups
+    assert report.overhead_bits == want_overhead
+    assert report.verification_passed
 
 
 # ------------------------------------------------------------ CLI exit codes
