@@ -413,6 +413,7 @@ def execute(
                     raise ExecutionError(f"decode failed at node {node.k}: {err}") from err
                 for n, value in values.items():
                     inputs[n - 1] = value
+                node.delivered = {}  # freed once decoded, not held into the next scheme
 
         outputs = []
         for node, inputs in zip(nodes, collected):
