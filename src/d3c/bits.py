@@ -9,25 +9,23 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class BitString:
     """Immutable string of ``length`` bits backed by a non-negative int."""
 
-    __slots__ = ("value", "length")
+    value: int
+    length: int
 
-    def __init__(self, value: int, length: int):
-        if length < 0:
+    def __post_init__(self):
+        if self.length < 0:
             raise InvalidParameterError("bit length must be non-negative")
-        if value < 0 or value >> length:
-            raise InvalidParameterError(f"value does not fit in {length} bits")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "length", length)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BitString is immutable")
+        if self.value < 0 or self.value >> self.length:
+            raise InvalidParameterError(f"value does not fit in {self.length} bits")
 
     def to_bytes(self) -> bytes:
         """Big-endian bytes; the final partial byte is padded with low zeros."""
@@ -62,16 +60,6 @@ class BitString:
         """Short stable hex digest of (length, payload) for trace output."""
         h = hashlib.sha256(self.length.to_bytes(8, "big") + self.to_bytes())
         return h.hexdigest()[:16]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitString)
-            and self.length == other.length
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.length))
 
     def __len__(self) -> int:
         return self.length

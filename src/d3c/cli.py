@@ -36,7 +36,7 @@ EXIT_VERIFICATION = 3
 
 # Most (file, node) pairs one request may build, summed over its schemes; a
 # scheme at computation load c maps c values per pair on average.
-SIZE_BUDGET = 2**20
+SIZE_BUDGET, DIGEST_BUDGET = 2**20, 2**21
 
 
 def _fraction(text: str) -> Fraction:
@@ -231,23 +231,39 @@ def _cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
-def _check_size(args, count: int, unit: str = "(file, node) pairs") -> None:
-    """Refuse, from counts alone, a request over SIZE_BUDGET (file, node)
-    pairs or output rows. Callers count N*K per scheme with K at least 1, so
-    a K below 1 with a huge N is refused from counts like any other."""
-    if count > SIZE_BUDGET:
+def _check_size(args, count: int, unit: str = "(file, node) pairs", budget=None) -> None:
+    """Refuse, from counts alone, a request over budget, by default SIZE_BUDGET
+    (file, node) pairs or output rows. Callers count N*K per scheme with K at
+    least 1, so a K below 1 with a huge N is refused like any other."""
+    budget = SIZE_BUDGET if budget is None else budget
+    if count > budget:
         raise InvalidParameterError(
-            f"this {args.command} needs {count} {unit}, over the budget of {SIZE_BUDGET}"
+            f"this {args.command} needs {count} {unit}, over the budget of {budget}"
         )
 
 
-def _basic_scheme(args, r: int, g: int | None) -> BasicScheme:
-    """The coded scheme at integer storage r and coding parameter g, or the
-    cdc baseline when g is None; --T defaults to default_iva_bits(r)."""
+def _check_digests(args, runs) -> None:
+    """Refuse runs (K, N, r, T) over DIGEST_BUDGET 512-bit digest blocks, as the
+    README counts them: B is --B or T, and a T of None is 8 lcm(1..ceil(r))."""
+    count, B = 0, getattr(args, "B", None)
+    for K, N, r, T in runs:
+        T = default_iva_bits(math.ceil(r)) if T is None else T
+        per_value, record = -(-T // 512), -(-N * (4 + -(-T // 8)) // 64)
+        outputs = 2 * -(-(B or T) // 512) * (1 + record)
+        count += max(K, 1) * ((math.ceil(r) + 1) * N * per_value + outputs)
+    _check_size(args, count, "512-bit digest blocks", DIGEST_BUDGET)
+
+
+def _basic_scheme(args, r: int, g: int | None, runs: int = 0) -> BasicScheme:
+    """The coded scheme at integer storage r and coding parameter g (the cdc
+    baseline when g is None), --T by default default_iva_bits(r), built once
+    its parameters and the digest blocks of ``runs`` runs of it pass."""
     T = default_iva_bits(r) if args.T is None else args.T
+    params = SchemeParams(K=args.K, N=args.N, F=64, T=T, r=r, g=r if g is None else g)
+    _check_digests(args, [(args.K, args.N, r, T)] * runs)
     if g is None:
         return build_cdc_scheme(args.K, args.N, r, T=T)
-    return build_basic_scheme(SchemeParams(K=args.K, N=args.N, F=64, T=T, r=r, g=g))
+    return build_basic_scheme(params)
 
 
 def _passed(report: engine.ExecutionReport) -> bool:
@@ -269,9 +285,10 @@ def _resolve_simulate_plan(args):
         raise InvalidParameterError("--g requires integer --r")
     _check_size(args, args.N * max(args.K, 1))
     if args.cdc or args.g is not None:
-        scheme = _basic_scheme(args, int(args.r), args.g)
+        scheme = _basic_scheme(args, int(args.r), args.g, runs=1)
         return scheme, scheme.params.T
-    plan = composer.plan_for_target(args.K, args.N, args.r, args.c)
+    plan = composer.plan_for_target(args.K, args.N, args.r, args.c)  # a few groups, checked
+    _check_digests(args, [(args.K, args.N, args.r, args.T)])
     return plan, composer.safe_iva_bits(plan) if args.T is None else args.T
 
 
@@ -289,8 +306,8 @@ def _cmd_compare(args) -> int:
     if not gs:
         raise InvalidParameterError("nothing to compare: give --g and/or --cdc")
     _check_size(args, len(gs) * args.N * max(args.K, 1))
-    # every scheme is built, and so validated, before the corpus
-    schemes = [_basic_scheme(args, args.r, g) for g in gs]
+    # every scheme is validated, its runs counted and it is built before the corpus
+    schemes = [_basic_scheme(args, args.r, g, runs=len(gs)) for g in gs]
     corpus = engine.generate_corpus(args.N, 64, args.seed)
     suite = engine.default_suite(schemes[0].params.T, args.B)
     rows = []
@@ -324,6 +341,7 @@ def _cmd_verify(args) -> int:
     if args.K < 2:
         raise InvalidParameterError("need --K >= 2")
     _check_size(args, sum(N * K for K, _, _, N in _verify_grid(args.K)))
+    _check_digests(args, [(K, N, r, 4 * g) for K, r, g, N in _verify_grid(args.K)])
     rows = []
     all_ok = True
     for K, r, g, N in _verify_grid(args.K):
@@ -373,6 +391,7 @@ def _cmd_sweep(args) -> int:
             N = composer.minimal_files(args.K, r, c) if args.execute else 0
             points.append((r, c, predicted, N))
     _check_size(args, sum(N for *_, N in points) * max(args.K, 1))
+    _check_digests(args, [(args.K, N, r, args.T) for r, _, _, N in points if N])
     rows = []
     all_ok = True
     for r, c, predicted, N in points:

@@ -1,12 +1,13 @@
 """End-to-end simulated runs: corpus, map, coded shuffle, reduce, verify.
 
-Nodes are logical entities in one process; a large run forks its oracle
-into a child. Each node has one record (``_Node``): the gate that admits
-only its placed files and delivered signals, and its counts of file and
-signal reads and of signals and bits sent, from which the report is read.
-An access outside the plan ends the run with ``ExecutionError``, so a run
-that finishes had none. Every plan runs on the corpus's own file ids: a
-composite group's batches hold the ids of its files in the corpus.
+Nodes are logical entities in one process; a large run on two CPUs forks
+its oracle into a child. Each node has one record (``_Node``): the gate
+that admits only its placed files and delivered signals, and its counts of
+file and signal reads and of signals and bits sent, from which the report
+is read. An access outside the plan ends the run with ``ExecutionError``,
+so a run that finishes had none. Every plan runs on the corpus's own file
+ids: a composite group's placement numbers its files from the group's
+first file id in the corpus.
 
 All randomness comes from one explicit seed; reports contain no wall-clock
 fields, so identical inputs serialize byte-identically.
@@ -81,11 +82,13 @@ class FunctionSuite:
 
 
 def _keyed_digest(domain: bytes, nbits: int, prefix: bytes = b"") -> Callable[[bytes], int]:
-    """``payload -> _digest_bits(domain, prefix + payload, nbits)``.
+    """``payload ->`` the keyed digest stream of ``prefix + payload`` cut to
+    its first nbits bits (counter mode), as an int.
 
-    The keyed state of each block the width needs is built here, once, and
-    absorbs its key block and the prefix; every call feeds the payload to a
-    copy of each, so the states themselves are never fed again.
+    Block c is keyed with ``domain`` followed by c as 8 big-endian bytes, and
+    the stream is blocks 0, 1, ... joined. Each block's keyed state is built
+    here, once, and absorbs its key block and the prefix; every call feeds
+    the payload to a copy of each, as a fresh keyed ``blake2b`` would get it.
     """
     blocks = -(-nbits // 512)
     states = [
@@ -96,34 +99,24 @@ def _keyed_digest(domain: bytes, nbits: int, prefix: bytes = b"") -> Callable[[b
     from_bytes = int.from_bytes  # bound once: a lookup per call is a measurable share
 
     def digest(payload: bytes) -> int:
-        stream = b""
+        stream = []
         for state in states:
             block = state.copy()
             block.update(payload)
-            stream += block.digest()
-        return from_bytes(stream, "big") >> cut
+            stream.append(block.digest())
+        return from_bytes(b"".join(stream), "big") >> cut
 
     return digest
-
-
-def _digest_bits(domain: bytes, payload: bytes, nbits: int) -> int:
-    """Keyed digest stream truncated to nbits (counter mode), as an int.
-
-    Block c is keyed with ``domain`` followed by c as 8 big-endian bytes; the
-    stream is blocks 0, 1, ... joined, cut to its first nbits bits. Every
-    block is digested from a copy of a keyed state (``_keyed_digest``), which
-    gives the same bits as a fresh keyed ``blake2b`` per block.
-    """
-    return _keyed_digest(domain, nbits)(payload)
 
 
 def default_suite(T: int, B: int | None = None) -> FunctionSuite:
     """Keyed-digest suite: deterministic, size-exact, order-sensitive.
 
-    A value is ``_digest_bits(b"map", target(4) + file_id(8) + data, T)``.
-    The map keeps, per target, block states that have already absorbed the
-    key block and the 4-byte target, built on the target's first call, so a
-    call digests only the file id and the file.
+    A value is ``_keyed_digest(b"map", T)`` of target(4) + file_id(8) + data
+    and an output ``_keyed_digest(b"reduce", B)`` of the values' blob, built
+    once per suite. The map keeps, per target, block states that have
+    already absorbed the key block and the 4-byte target, built on the
+    target's first call, so a call digests only the file id and the file.
     """
     if B is None:
         B = T
@@ -141,6 +134,7 @@ def default_suite(T: int, B: int | None = None) -> FunctionSuite:
     # to whole bytes: one (4 + nbytes)-byte int with the length on top
     pad, nbytes = -T % 8, (T + 7) // 8
     head, width = T << 8 * nbytes, 4 + nbytes
+    reduce_digest = _keyed_digest(b"reduce", B)
 
     def reduce_fn(target: int, values: Sequence[int]) -> BitString:
         if max(values, default=0) >> T:  # it would spill into the length bytes
@@ -148,7 +142,7 @@ def default_suite(T: int, B: int | None = None) -> FunctionSuite:
         blob = bytearray(target.to_bytes(4, "big"))
         for v in values:
             blob += (head | v << pad).to_bytes(width, "big")
-        return BitString(_digest_bits(b"reduce", blob, B), B)
+        return BitString(reduce_digest(blob), B)
 
     return FunctionSuite(map_fn, reduce_fn, T, B)
 
@@ -163,7 +157,7 @@ def oracle(corpus: Corpus, suite: FunctionSuite, K: int) -> list[BitString]:
     return outputs
 
 
-_FORK_MIN_VALUES = 2**17  # N*K from which a forked oracle was measured to save time (README)
+_FORK_MIN_VALUES = 2**17  # N*K from which a forked oracle was measured to save time (CHANGES.md)
 
 
 def _one_thread() -> bool:  # the kernel's task list also shows native threads
@@ -173,12 +167,13 @@ def _one_thread() -> bool:  # the kernel's task list also shows native threads
 
 @contextmanager
 def _oracle_beside(corpus: Corpus, suite: FunctionSuite, K: int) -> Iterator[list[BitString]]:
-    """Yield a list that holds ``oracle(corpus, suite, K)`` once the block
-    ends. A large run in a one-thread process computes it meanwhile in a
-    child forked here, any other at the block's end; no child outlives it."""
+    """Yield a list holding ``oracle(corpus, suite, K)`` once the block ends.
+    A large run in a one-thread process with two CPUs computes it meanwhile
+    in a child forked here, any other at the block's end; no child outlives it."""
     want: list[BitString] = []
     read_end = pid = None
-    if corpus.N * K >= _FORK_MIN_VALUES and hasattr(os, "fork") and _one_thread():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if corpus.N * K >= _FORK_MIN_VALUES and cpus >= 2 and hasattr(os, "fork") and _one_thread():
         try:
             read_end, write_end = os.pipe()
             pid = os.fork()
@@ -303,7 +298,7 @@ def _bind(plan: BasicScheme | CompositePlan, F: int, T: int) -> tuple[dict, list
 
     A basic scheme runs as it is. Each group of a composite plan is built
     with the corpus file size F and the suite's value size T, its placement
-    shifted once to the group's own files of the corpus.
+    numbering the group's own files of the corpus from its first file id.
     """
     if isinstance(plan, BasicScheme):
         return {"type": plan.kind, "r": plan.params.r, "g": plan.params.g}, [plan]
@@ -317,9 +312,7 @@ def _bind(plan: BasicScheme | CompositePlan, F: int, T: int) -> tuple[dict, list
     schemes = []
     for sp in plan.groups:
         params = SchemeParams(K=plan.K, N=sp.file_count, F=F, T=T, r=sp.r, g=sp.g)
-        shift = sp.first_file - 1
-        batches = {b: tuple(n + shift for n in files) for b, files in _placement(params).items()}
-        schemes.append(BasicScheme(params, batches))
+        schemes.append(BasicScheme(params, _placement(params, sp.first_file)))
     return summary, schemes
 
 

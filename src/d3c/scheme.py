@@ -175,11 +175,11 @@ class BasicScheme:
         }
 
 
-def _placement(params: SchemeParams) -> dict[BatchIndex, tuple[int, ...]]:
-    """Assign files to batches in enumeration order."""
+def _placement(params: SchemeParams, first_file: int = 1) -> dict[BatchIndex, tuple[int, ...]]:
+    """Assign files, numbered from first_file, to batches in enumeration order."""
     eta = params.eta
     batches: dict[BatchIndex, tuple[int, ...]] = {}
-    next_file = 1
+    next_file = first_file
     for index in enum_omega(params.K, params.r, params.g):
         batches[index] = tuple(range(next_file, next_file + eta))
         next_file += eta

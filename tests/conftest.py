@@ -1,15 +1,32 @@
-"""Shared fixtures: a guard that no test leaves a child process behind, and a
-switch that runs every oracle in a forked child."""
+"""Shared fixtures: a guard that no test leaves a child process or a thread
+behind, and a switch that runs every oracle in a forked child."""
 
 import os
+import threading
+import time
 
 import pytest
 
 
+def until_one_thread():
+    """Wait until the threads a test started have left the kernel's task
+    list, which can lag behind ``join``, so that later runs fork again."""
+    deadline = time.monotonic() + 10
+    while (
+        len(os.listdir("/proc/self/task"))
+        if os.path.isdir("/proc/self/task")
+        else threading.active_count()
+    ) > 1:
+        assert time.monotonic() < deadline, "a thread outlived its test"
+        time.sleep(0.01)
+
+
 @pytest.fixture(autouse=True)
 def no_child_outlives_the_test():
-    """Fail a test that leaves a child process running or unreaped."""
+    """Fail a test that leaves a thread, or a child process running or
+    unreaped. A live thread keeps every later oracle in-process."""
     yield
+    until_one_thread()
     try:
         left = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:  # no child at all
@@ -19,8 +36,8 @@ def no_child_outlives_the_test():
 
 @pytest.fixture
 def forked_oracle(monkeypatch):
-    """Fork the oracle of every run, however small; the list collects the
-    pid of each child forked."""
+    """Fork the oracle of every run, however small, as on a host with two
+    CPUs; the list collects the pid of each child forked."""
     import d3c.engine
 
     forked = []
@@ -33,5 +50,6 @@ def forked_oracle(monkeypatch):
         return pid
 
     monkeypatch.setattr(d3c.engine, "_FORK_MIN_VALUES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", fork)
     return forked

@@ -1,5 +1,7 @@
 """Bit-string primitive: round trips, slicing, XOR, and digests."""
 
+import dataclasses
+
 import pytest
 
 from d3c.bits import BitString
@@ -21,10 +23,12 @@ def test_non_byte_length_roundtrip():
 
 
 def test_value_must_fit():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="value does not fit in 3 bits"):
         BitString(0b1000, 3)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="value does not fit in 3 bits"):
         BitString(-1, 3)
+    with pytest.raises(InvalidParameterError, match="bit length must be non-negative"):
+        BitString(0, -1)
 
 
 def test_slice_and_join_are_inverse():
@@ -76,4 +80,8 @@ def test_immutability_and_hash():
     a = BitString(0b1, 1)
     with pytest.raises(AttributeError):
         a.value = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.length = 2
     assert len({a, BitString(0b1, 1)}) == 1
+    assert hash(a) == hash((1, 1))
+    assert a != BitString(0b1, 2) and a != (1, 1)

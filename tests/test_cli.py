@@ -120,16 +120,33 @@ def test_simulate_flag_conflicts(capsys):
         capsys, "simulate", "--K", "3", "--N", "6", "--r", "2", "--c", "1", "--g", "1"
     )
     assert code == 1 and "exactly one" in err
-    code, _, err = run(
-        capsys, "simulate", "--K", "3", "--N", "6", "--r", "2", "--cdc", "--g", "2"
-    )
-    assert code == 1
+    for command in ("simulate", "inspect"):
+        code, _, err = run(capsys, command, "--K", "3", "--N", "6", "--r", "2", "--cdc", "--g", "2")
+        assert code == 1 and "--cdc does not take --g" in err, command
     code, _, err = run(
         capsys, "simulate", "--K", "3", "--N", "6", "--r", "2", "--cdc", "--c", "3/2"
     )
     assert code == 1 and "the baseline always computes c = r" in err
     code, _, err = run(capsys, "simulate", "--K", "3", "--N", "6", "--r", "5/2", "--g", "1")
     assert code == 1 and "--g requires integer --r" in err
+
+
+def test_an_execution_failure_exits_three(capsys, monkeypatch):
+    import d3c.engine
+
+    real_run_shuffle = d3c.engine.run_shuffle
+
+    def dropping_run_shuffle(scheme, computed):
+        delivered, bits = real_run_shuffle(scheme, computed)
+        # a signal whose coding set holds node 3, so it decodes with it
+        del delivered[3][next(key for key in sorted(delivered[3]) if 3 in key[1].j)]
+        return delivered, bits
+
+    monkeypatch.setattr(d3c.engine, "run_shuffle", dropping_run_shuffle)
+    argv = ("simulate", "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--T", "8")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("d3c: failure: decode failed at node 3: ")
 
 
 def test_simulate_infeasible_exit(capsys):
@@ -321,16 +338,34 @@ def test_requests_over_budget_are_refused_from_counts(capsys):
     # verify --K 16 would build 996,904,236 (file, node) pairs over its
     # schemes and 10^7 files at K = 10 are 10^8 pairs; K counts as at least
     # 1, so a K = 0 request with a huge N is refused from counts too
-    for argv, pairs in (
-        (("verify", "--K", "16"), 996904236),
-        (("simulate", "--K", "10", "--N", "10000000", "--r", "2", "--g", "1"), 10**8),
-        (("compare", "--K", "0", "--N", str(2**21), "--r", "1", "--g", "1"), 2**21),
+    pairs = "(file, node) pairs"
+    # within the pair budget, each of these digests far past its budget: a
+    # wide T that every output block re-reads (22 s at 2^20 bits), a wide B
+    # of 195,313 blocks per output, the default T of r = 11 (221,760 bits,
+    # past a minute) and of r = 20 (1,862,340,480 bits), and verify --K 10
+    # (13 s)
+    small = ("--K", "3", "--N", "6", "--r", "2")
+    blocks = "512-bit digest blocks"
+    for argv, count, unit in (
+        (("verify", "--K", "16"), 996904236, pairs),
+        (("simulate", "--K", "10", "--N", "10000000", "--r", "2", "--g", "1"), 10**8, pairs),
+        (("compare", "--K", "0", "--N", str(2**21), "--r", "1", "--g", "1"), 2**21, pairs),
+        (("simulate", *small, "--g", "2", "--T", str(2**20)), 151130112, blocks),
+        (("simulate", *small, "--g", "2", "--T", str(2**23)), 9664757760, blocks),
+        (("simulate", *small, "--c", "4/3", "--B", "100000000"), 2343810, blocks),
+        (("simulate", "--K", "12", "--N", "132", "--r", "11", "--g", "1"), 603857184, blocks),
+        (
+            ("simulate", "--K", "21", "--N", "420", "--r", "20", "--g", "1"),
+            233387782044328464,
+            blocks,
+        ),
+        (("verify", "--K", "10"), 6075192, blocks),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
-        assert time.perf_counter() - start < 1
-        assert (code, out) == (1, "")
-        assert f"needs {pairs} (file, node) pairs" in err
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (1, ""), argv
+        assert f"needs {count} {unit}" in err, argv
 
 
 def test_size_budget_refuses_only_above_it(capsys, monkeypatch):
@@ -357,6 +392,50 @@ def test_size_budget_refuses_only_above_it(capsys, monkeypatch):
         monkeypatch.setattr(d3c.cli, "SIZE_BUDGET", pairs)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out, argv
+
+
+def _digest_blocks(K, N, r, T, B=None):
+    """512-bit digest blocks of one run as the README counts them: r + 1
+    values per (file, node) pair, then 2K outputs, each output block also
+    reading the N values of 4 + ceil(T/8) bytes in 64-byte blocks."""
+    B = T if B is None else B
+    record = N * (4 + math.ceil(T / 8))
+    return (math.ceil(r) + 1) * N * K * math.ceil(T / 512) + 2 * K * math.ceil(B / 512) * (
+        1 + math.ceil(record / 64)
+    )
+
+
+def test_digest_budget_refuses_only_above_it(capsys, monkeypatch):
+    import d3c.cli
+
+    small = ("--K", "3", "--N", "6", "--r", "2", "--T", "8")
+    verify = sum(
+        _digest_blocks(K, math.comb(K, r) * math.comb(r, g), r, 4 * g)
+        for K in (2, 3)
+        for r in range(1, K)
+        for g in range(1, r + 1)
+    )
+    # a composite plan's default T is counted as 8 lcm(1..ceil(r)): 48 at r = 5/2
+    sweep = sum(
+        _digest_blocks(4, composer.minimal_files(4, Fraction(5, 2), c), 3, 48)
+        for c in (1, Fraction(5, 4))
+    )
+    for argv, count in (
+        (("verify", "--K", "3"), verify),
+        (("simulate", *small, "--g", "2"), _digest_blocks(3, 6, 2, 8)),
+        (("simulate", *small, "--cdc", "--B", "1000"), _digest_blocks(3, 6, 2, 8, 1000)),
+        (("simulate", *small[:6], "--c", "4/3"), _digest_blocks(3, 6, 2, 16)),
+        (("compare", *small, "--g", "1,2", "--cdc"), 3 * _digest_blocks(3, 6, 2, 8)),
+        (("sweep", "--K", "4", "--r", "2.5", "--c", "1,5/4", "--execute"), sweep),
+    ):
+        monkeypatch.setattr(d3c.cli, "DIGEST_BUDGET", count - 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"needs {count} 512-bit digest blocks, over the budget of {count - 1}" in err
+        monkeypatch.setattr(d3c.cli, "DIGEST_BUDGET", count)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out, argv
+    assert verify == 151 and _digest_blocks(3, 6, 2, 8) == 66  # worked by hand
 
 
 def test_row_requests_over_budget_are_refused_from_counts(capsys):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from conftest import until_one_thread
 
 from d3c.bits import BitString
 from d3c.combinatorics import binomial, group_divisor
@@ -21,7 +22,7 @@ from d3c.composer import minimal_files, plan_for_target, safe_iva_bits
 from d3c.engine import (
     _Node,
     _bind,
-    _digest_bits,
+    _keyed_digest,
     FunctionSuite,
     default_suite,
     execute,
@@ -68,16 +69,19 @@ def test_suite_determinism_and_sizes():
 
 def test_one_block_digest_is_the_counter_stream_prefix():
     # the digest is the first nbits bits of blocks 0, 1, ... of the keyed
-    # counter stream; up to 512 bits that is block 0 alone
+    # counter stream; up to 512 bits that is block 0 alone, and at 2**23 bits
+    # it joins 16,384 blocks, which a stream copied once per block would
+    # take seconds to build
     payload = b"payload"
     for domain in (b"map", b"reduce"):
         stream = b"".join(
             hashlib.blake2b(payload, digest_size=64, key=domain + c.to_bytes(8, "big")).digest()
-            for c in range(8)
+            for c in range(2**23 // 512)
         )
-        for nbits in (1, 7, 8, 24, 96, 511, 512, 513, 520, 1024, 1025, 1500, 4096):
+        widths = (1, 7, 8, 24, 96, 511, 512, 513, 520, 1024, 1025, 1500, 4096, 2**20 + 1, 2**23)
+        for nbits in widths:
             want = int.from_bytes(stream, "big") >> (len(stream) * 8 - nbits)
-            assert _digest_bits(domain, payload, nbits) == want, (domain, nbits)
+            assert _keyed_digest(domain, nbits)(payload) == want, (domain, nbits)
 
 
 def test_map_value_is_the_digest_of_target_file_id_and_data():
@@ -111,7 +115,7 @@ def test_reduce_blob_is_length_prefixed_value_bytes():
             ref = (3).to_bytes(4, "big") + b"".join(
                 T.to_bytes(4, "big") + BitString(v, T).to_bytes() for v in values
             )
-            want = BitString(_digest_bits(b"reduce", ref, 40), 40)
+            want = BitString(_keyed_digest(b"reduce", 40)(ref), 40)
             assert default_suite(T, 40).reduce_fn(3, values) == want, (T, len(values))
     for bad in (256, -1):  # not an 8-bit value
         with pytest.raises(OverflowError):
@@ -531,6 +535,7 @@ def test_only_a_large_run_in_a_one_thread_process_forks(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     # the largest scheme of ``verify --K 7``: N*K = 1,470, below the threshold
     N = group_divisor(7, 5, 3)
     assert N * 7 == 1470 < d3c.engine._FORK_MIN_VALUES
@@ -551,18 +556,9 @@ def test_only_a_large_run_in_a_one_thread_process_forks(monkeypatch):
     finally:
         stop.set()
         waiter.join(timeout=10)
-        _until_one_thread()
+        until_one_thread()
     assert not waiter.is_alive()
     assert len(forks) == 1
-
-
-def _until_one_thread():
-    """Wait until the threads a test started have left the kernel's task
-    list, which can lag behind ``join``, so that later runs fork again."""
-    deadline = time.monotonic() + 10
-    while os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) > 1:
-        assert time.monotonic() < deadline, "a thread outlived its test"
-        time.sleep(0.01)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no kernel list of threads")
@@ -584,9 +580,23 @@ def test_a_thread_that_threading_does_not_list_keeps_the_oracle_in_process(forke
     finally:
         release.release()
         assert done.acquire(timeout=10)
-        _until_one_thread()
+        until_one_thread()
     assert run_basic(3, 6, 2, 2, T=8).verification_passed
     assert len(forked_oracle) == 1
+
+
+def test_a_process_with_one_cpu_keeps_the_oracle_in_process(monkeypatch, forked_oracle):
+    forked = run_basic(3, 6, 2, 2, T=8).to_dict()
+    assert len(forked_oracle) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_basic(3, 6, 2, 2, T=8).to_dict() == forked
+    # without an affinity mask the CPU count decides, and an unknown count is one CPU
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, forks in ((1, 1), (None, 1), (2, 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = run_basic(3, 6, 2, 2, T=8)
+        assert report.verification_passed and report.to_dict() == forked, cpus
+        assert len(forked_oracle) == forks, cpus
 
 
 def test_without_a_pipe_or_a_child_the_oracle_runs_in_process(monkeypatch, forked_oracle):
