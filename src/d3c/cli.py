@@ -34,8 +34,9 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFICATION = 3
 
-# Most (file, node) pairs one request may build, summed over its schemes; a
-# scheme at computation load c maps c values per pair on average.
+# Most (file, node) pairs one request may build, summed over its schemes (a
+# scheme at computation load c maps c values per pair on average), and most
+# 512-bit digest blocks its runs may make, as _check_digests counts them.
 SIZE_BUDGET, DIGEST_BUDGET = 2**20, 2**21
 
 
@@ -287,7 +288,7 @@ def _resolve_simulate_plan(args):
     if args.cdc or args.g is not None:
         scheme = _basic_scheme(args, int(args.r), args.g, runs=1)
         return scheme, scheme.params.T
-    plan = composer.plan_for_target(args.K, args.N, args.r, args.c)  # a few groups, checked
+    plan = composer.plan_for_target(args.K, args.N, args.r, args.c)  # its refusals come first
     _check_digests(args, [(args.K, args.N, args.r, args.T)])
     return plan, composer.safe_iva_bits(plan) if args.T is None else args.T
 

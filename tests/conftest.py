@@ -2,21 +2,18 @@
 behind, and a switch that runs every oracle in a forked child."""
 
 import os
-import threading
 import time
 
 import pytest
+
+from d3c.engine import _one_thread
 
 
 def until_one_thread():
     """Wait until the threads a test started have left the kernel's task
     list, which can lag behind ``join``, so that later runs fork again."""
     deadline = time.monotonic() + 10
-    while (
-        len(os.listdir("/proc/self/task"))
-        if os.path.isdir("/proc/self/task")
-        else threading.active_count()
-    ) > 1:
+    while not _one_thread():
         assert time.monotonic() < deadline, "a thread outlived its test"
         time.sleep(0.01)
 
