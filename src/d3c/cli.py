@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -238,8 +239,12 @@ def _check_size(args, count: int, unit: str = "(file, node) pairs", budget=None)
     least 1, so a K below 1 with a huge N is refused like any other."""
     budget = SIZE_BUDGET if budget is None else budget
     if count > budget:
+        try:
+            shown = str(count)
+        except ValueError:  # more digits than the interpreter converts
+            shown = f"at least 2^{count.bit_length() - 1}"
         raise InvalidParameterError(
-            f"this {args.command} needs {count} {unit}, over the budget of {budget}"
+            f"this {args.command} needs {shown} {unit}, over the budget of {budget}"
         )
 
 
@@ -255,15 +260,33 @@ def _check_digests(args, runs) -> None:
     _check_size(args, count, "512-bit digest blocks", DIGEST_BUDGET)
 
 
+def _default_T(r: int) -> int:
+    """default_iva_bits(r), refused when it has more decimal digits than the
+    interpreter converts to text; as 8 lcm(1..r) >= 2^(r+2), an r past that
+    is refused without computing the lcm."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    T = None if limit and r + 3 > (10**limit).bit_length() else default_iva_bits(r)
+    if T is None or limit and T >= 10**limit:
+        raise InvalidParameterError(
+            f"the default --T, 8 lcm(1..{r}), has more than {limit} digits; give --T"
+        )
+    return T
+
+
 def _basic_scheme(args, r: int, g: int | None, runs: int = 0) -> BasicScheme:
     """The coded scheme at integer storage r and coding parameter g (the cdc
     baseline when g is None), --T by default default_iva_bits(r), built once
-    its parameters and the digest blocks of ``runs`` runs of it pass."""
-    T = default_iva_bits(r) if args.T is None else args.T
-    params = SchemeParams(K=args.K, N=args.N, F=64, T=T, r=r, g=r if g is None else g)
-    _check_digests(args, [(args.K, args.N, r, T)] * runs)
+    its parameters and the digest blocks of ``runs`` runs of it pass. The
+    parameters are checked before the default T is computed, with T = g,
+    which passes every check that the default (a multiple of g) passes."""
+    g_or_r = r if g is None else g
+    T = g_or_r if args.T is None else args.T
+    params = SchemeParams(K=args.K, N=args.N, F=64, T=T, r=r, g=g_or_r)
+    if args.T is None:
+        params = replace(params, T=_default_T(r))
+    _check_digests(args, [(args.K, args.N, r, params.T)] * runs)
     if g is None:
-        return build_cdc_scheme(args.K, args.N, r, T=T)
+        return build_cdc_scheme(args.K, args.N, r, T=params.T)
     return build_basic_scheme(params)
 
 

@@ -1,13 +1,13 @@
 """End-to-end simulated runs: corpus, map, coded shuffle, reduce, verify.
 
 Nodes are logical entities in one process; a large run on two CPUs forks
-its oracle into a child. Each node has one record (``_Node``): the gate
-that admits only its placed files and delivered signals, and its counts of
-file and signal reads and of signals and bits sent, from which the report
-is read. An access outside the plan ends the run with ``ExecutionError``,
-so a run that finishes had none. Every plan runs on the corpus's own file
-ids: a composite group's placement numbers its files from the group's
-first file id in the corpus.
+its oracle into a child. Each scheme's signals are built once into one
+broadcast store keyed by (sender, group), which every node decodes from.
+Each node has one record (``_Node``): the gate that admits only its placed
+files and the others' signals, and its counts, from which the report is
+read. An access outside the plan ends the run with ``ExecutionError``, so a
+run that finishes had none. Every plan runs on the corpus's own file ids: a
+composite group's placement numbers its files from its first file id.
 
 All randomness comes from one explicit seed; reports contain no wall-clock
 fields, so identical inputs serialize byte-identically.
@@ -36,7 +36,7 @@ from .scheme import (
     SchemeParams,
     _placement,
 )
-from .shuffle import decode_node, run_shuffle, write_signal_trace
+from .shuffle import build_signals, decode_node, write_signal_trace
 
 
 @dataclass(frozen=True)
@@ -216,15 +216,15 @@ def _oracle_beside(corpus: Corpus, suite: FunctionSuite, K: int) -> Iterator[lis
 
 class _Node:
     """One node's record of a run: the gate to its placed files (a refused read
-    raises and is not counted), the signals delivered to it in the current
-    scheme (``get`` counts each lookup that finds one) and its counts. The
-    engine reads a file once per map evaluation: file reads = computed values."""
+    raises and is not counted) and to the scheme's broadcast store, shared by
+    every node (``get`` refuses the node its own signals and counts each lookup
+    that finds one), and its counts. File reads = map evaluations."""
 
-    __slots__ = ("k", "files", "stored", "delivered",
+    __slots__ = ("k", "files", "stored", "signals",
                  "file_reads", "signal_reads", "sent_signals", "sent_bits")
 
     def __init__(self, k: int, corpus: Corpus, stored: set[int]):
-        self.k, self.files, self.stored, self.delivered = k, corpus.files, stored, {}
+        self.k, self.files, self.stored, self.signals = k, corpus.files, stored, {}
         self.file_reads = self.signal_reads = self.sent_signals = self.sent_bits = 0
 
     def read(self, file_id: int) -> bytes:
@@ -236,9 +236,10 @@ class _Node:
         return self.files[file_id - 1]
 
     def get(self, key, default=None):
-        found = self.delivered.get(key, default)
-        if found is not None:
-            self.signal_reads += 1
+        found = None if key[0] == self.k else self.signals.get(key)  # never its own signal
+        if found is None:
+            return default
+        self.signal_reads += 1
         return found
 
 
@@ -385,28 +386,26 @@ def execute(
                         for n in files:
                             store[q, n] = map_fn(q, n, read(n))
 
-            delivered = run_shuffle(scheme, computed)[0]
-            # every node receives every signal but its own, so nodes 1 and 2
-            # together hold them all: each misses only what the other holds
-            all_signals = {**delivered[1], **delivered[2]}
-            for (sender, group), signal in all_signals.items():
-                nodes[sender - 1].sent_signals += 1
-                nodes[sender - 1].sent_bits += signal.bit_length
-                overhead_bits += _signal_overhead_bits(K, len(group.i), len(group.j))
+            signals = build_signals(scheme, computed)  # in the order the trace digests pin
+            for signal in signals:
+                sender = nodes[signal.sender - 1]
+                sender.sent_signals += 1
+                sender.sent_bits += signal.bit_length
+                overhead_bits += _signal_overhead_bits(K, len(signal.group.i), len(signal.group.j))
             if trace is not None:
-                write_signal_trace(
-                    sorted(all_signals.values(), key=lambda s: (s.group, s.sender)), trace
-                )
+                write_signal_trace(signals, trace)
 
+            store = {(signal.sender, signal.group): signal for signal in signals}
             for node, inputs in zip(nodes, collected):
-                node.delivered = delivered[node.k]
+                node.signals = store
                 try:
                     values = decode_node(node.k, scheme, computed[node.k], node)
                 except Exception as err:
                     raise ExecutionError(f"decode failed at node {node.k}: {err}") from err
                 for n, value in values.items():
                     inputs[n - 1] = value
-                node.delivered = {}  # freed once decoded, not held into the next scheme
+                node.signals = {}
+            del signals, store  # freed once decoded, not held into the next scheme
 
         outputs = []
         for node, inputs in zip(nodes, collected):

@@ -121,10 +121,11 @@ class BasicScheme:
     def storage(self) -> dict[int, tuple[int, ...]]:
         """Each node's files M_k: the files of every batch whose s holds k,
         in batch order, which is ascending under ``_placement``."""
-        return {
-            k: tuple(n for batch, files in self.batches.items() if k in batch.s for n in files)
-            for k in range(1, self.params.K + 1)
-        }
+        storage: dict[int, list[int]] = {k: [] for k in range(1, self.params.K + 1)}
+        for batch, files in self.batches.items():
+            for k in batch.s:
+                storage[k] += files
+        return {k: tuple(files) for k, files in storage.items()}
 
     def targets(self, k: int, batch: BatchIndex) -> tuple[int, ...]:
         """Functions node k maps on every file of a batch it stores."""
@@ -133,7 +134,8 @@ class BasicScheme:
             return tuple(nodes)
         if k not in batch.t:
             return (k,)
-        return (k, *(q for q in nodes if q not in batch.s))
+        stored = set(batch.s)
+        return (k, *(q for q in nodes if q not in stored))
 
     @cached_property
     def compute_own(self) -> dict[int, tuple[IvaId, ...]]:

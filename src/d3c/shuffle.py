@@ -119,7 +119,9 @@ def run_shuffle(
     """Build all signals and deliver each to every other node losslessly.
 
     Returns the per-node delivered store keyed by (sender, group) and the
-    total payload bits placed on the channel.
+    total payload bits placed on the channel. This per-node-copy helper
+    serves callers outside ``execute``, which holds each scheme's signals in
+    one broadcast store instead.
     """
     signals = build_signals(scheme, computed)
     total_bits = sum(s.bit_length for s in signals)

@@ -1,5 +1,6 @@
 """Shared fixtures: a guard that no test leaves a child process or a thread
-behind, and a switch that runs every oracle in a forked child."""
+behind, and a switch that runs every oracle in a forked child; and a fault
+injector for the signals one node hears."""
 
 import os
 import time
@@ -16,6 +17,22 @@ def until_one_thread():
     while not _one_thread():
         assert time.monotonic() < deadline, "a thread outlived its test"
         time.sleep(0.01)
+
+
+def fault_signals_heard_by(monkeypatch, receiver, fault):
+    """Hand ``receiver`` ``fault(signal)`` for each signal it finds in the
+    broadcast store (None: the signal is missing); other nodes hear the
+    store as it is. Faulting a signal at its sender would reach every
+    node that hears it, and another node may decode with it first."""
+    import d3c.engine
+
+    real_get = d3c.engine._Node.get
+
+    def get(node, key, default=None):
+        found = real_get(node, key, default)
+        return fault(found) if node.k == receiver and found is not None else found
+
+    monkeypatch.setattr(d3c.engine._Node, "get", get)
 
 
 @pytest.fixture(autouse=True)

@@ -2,13 +2,25 @@
 
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
 import pytest
+from conftest import fault_signals_heard_by
 
 from d3c import composer
 from d3c.cli import main
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit on the digits of an int converted to
+    text, set for the test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
 
 
 def run(capsys, *argv):
@@ -132,17 +144,7 @@ def test_simulate_flag_conflicts(capsys):
 
 
 def test_an_execution_failure_exits_three(capsys, monkeypatch):
-    import d3c.engine
-
-    real_run_shuffle = d3c.engine.run_shuffle
-
-    def dropping_run_shuffle(scheme, computed):
-        delivered, bits = real_run_shuffle(scheme, computed)
-        # a signal whose coding set holds node 3, so it decodes with it
-        del delivered[3][next(key for key in sorted(delivered[3]) if 3 in key[1].j)]
-        return delivered, bits
-
-    monkeypatch.setattr(d3c.engine, "run_shuffle", dropping_run_shuffle)
+    fault_signals_heard_by(monkeypatch, 3, lambda signal: None)  # node 3 hears nothing
     argv = ("simulate", "--K", "3", "--N", "6", "--r", "2", "--g", "2", "--T", "8")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
@@ -334,7 +336,7 @@ def test_sweep_budget_refuses_only_above_it(capsys, monkeypatch):
     assert len(parse_csv(out)[1]) == 2
 
 
-def test_requests_over_budget_are_refused_from_counts(capsys):
+def test_requests_over_budget_are_refused_from_counts(capsys, digit_limit):
     # verify --K 16 would build 996,904,236 (file, node) pairs over its
     # schemes and 10^7 files at K = 10 are 10^8 pairs; K counts as at least
     # 1, so a K = 0 request with a huge N is refused from counts too
@@ -346,6 +348,10 @@ def test_requests_over_budget_are_refused_from_counts(capsys):
     # (13 s)
     small = ("--K", "3", "--N", "6", "--r", "2")
     blocks = "512-bit digest blocks"
+    wide = "8" + "0" * 3000
+    wide_count = f"at least 2^{_digest_blocks(3, 6, 2, int(wide)).bit_length() - 1}"
+    r_4967 = _digest_blocks(4967, 1, 4967, 8 * math.lcm(*range(1, 4968)))
+    r_4967 = f"at least 2^{r_4967.bit_length() - 1}"
     for argv, count, unit in (
         (("verify", "--K", "16"), 996904236, pairs),
         (("simulate", "--K", "10", "--N", "10000000", "--r", "2", "--g", "1"), 10**8, pairs),
@@ -360,6 +366,13 @@ def test_requests_over_budget_are_refused_from_counts(capsys):
             blocks,
         ),
         (("verify", "--K", "10"), 6075192, blocks),
+        # counts with more digits than the interpreter converts to text print
+        # as the power of two at or below them: a T and a B of 3,001 digits,
+        # and the default T of r = 4967, the smallest K = r = g whose count
+        # is that long
+        (("simulate", *small, "--g", "2", "--T", wide, "--B", wide), wide_count, blocks),
+        (("compare", *small, "--g", "2", "--T", wide, "--B", wide), wide_count, blocks),
+        (("simulate", "--K", "4967", "--N", "1", "--r", "4967", "--g", "4967"), r_4967, blocks),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -399,9 +412,9 @@ def _digest_blocks(K, N, r, T, B=None):
     values per (file, node) pair, then 2K outputs, each output block also
     reading the N values of 4 + ceil(T/8) bytes in 64-byte blocks."""
     B = T if B is None else B
-    record = N * (4 + math.ceil(T / 8))
-    return (math.ceil(r) + 1) * N * K * math.ceil(T / 512) + 2 * K * math.ceil(B / 512) * (
-        1 + math.ceil(record / 64)
+    record = N * (4 + -(-T // 8))
+    return (math.ceil(r) + 1) * N * K * -(-T // 512) + 2 * K * -(-B // 512) * (
+        1 + -(-record // 64)
     )
 
 
@@ -606,6 +619,42 @@ def test_too_large_counts_are_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("d3c: error: C(") and "exceeds the 64-bit count range" in err
+
+
+def test_a_default_T_is_computed_after_the_cheap_checks(capsys, digit_limit):
+    # 8 lcm(1..99999) takes seconds; the file count is refused before it
+    start = time.perf_counter()
+    argv = ("inspect", "--K", "100000", "--N", "10", "--r", "99999", "--g", "1")
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "d3c: infeasible: file count 10 is not a multiple of C(100000,99999)*C(99999,1) = "
+        "9999900000; smallest admissible count is 9999900000\n"
+    )
+    # a default T too long to print is refused before the build: at r = 10^5
+    # from 8 lcm(1..r) >= 2^(r+2) alone, without the lcm
+    for r in ("10000", "100000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "inspect", "--K", r, "--N", "1", "--r", r, "--g", r)
+        assert time.perf_counter() - start < 1, r
+        assert (code, out) == (1, ""), r
+        assert err == (
+            f"d3c: error: the default --T, 8 lcm(1..{r}), has more than {digit_limit} "
+            "digits; give --T\n"
+        )
+
+
+def test_inspect_at_K_equal_r_700_is_quick(capsys):
+    # one batch that every node stores and codes, so each of the 700 nodes
+    # takes the complement of the batch's 700-node storage set
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "inspect", "--K", "700", "--N", "1", "--r", "700", "--g", "700")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["storage"] == {str(k): [1] for k in range(1, 701)}
+    assert doc["compute_own"]["700"] == [[700, 1]] and doc["compute_coded"]["700"] == []
 
 
 def test_saturation_sweep_needs_two_nodes(capsys):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from conftest import until_one_thread
+from conftest import fault_signals_heard_by, until_one_thread
 
 from d3c.bits import BitString
 from d3c.combinatorics import binomial, group_divisor
@@ -343,22 +343,23 @@ def test_corpus_plan_mismatch():
         execute(scheme, generate_corpus(6, 64, 0), default_suite(16))
 
 
+def _first_owner(signal, receiver):
+    """Whether ``signal`` is from the first member of its group other than
+    ``receiver``: one signal per group that the receiver decodes with."""
+    return signal.sender == next(m for m in signal.group.j if m != receiver)
+
+
 def _flip_a_signal_bit(monkeypatch, receiver):
-    """Flip one payload bit of a signal that ``receiver`` decodes with."""
-    import d3c.engine
+    """Flip one payload bit of a signal that ``receiver`` decodes with, as
+    ``receiver`` alone hears it (one signal at K=3, r=2, g=2)."""
 
-    real_run_shuffle = d3c.engine.run_shuffle
-
-    def corrupting_run_shuffle(scheme, computed):
-        delivered, bits = real_run_shuffle(scheme, computed)
-        # a signal whose coding set holds the receiver, so it decodes with it
-        key = next(key for key in sorted(delivered[receiver]) if receiver in key[1].j)
-        signal = delivered[receiver][key]
+    def flip(signal):
+        if not _first_owner(signal, receiver):
+            return signal
         flipped = BitString(signal.payload.value ^ 1, signal.payload.length)
-        delivered[receiver][key] = MulticastSignal(signal.sender, signal.group, flipped)
-        return delivered, bits
+        return MulticastSignal(signal.sender, signal.group, flipped)
 
-    monkeypatch.setattr(d3c.engine, "run_shuffle", corrupting_run_shuffle)
+    fault_signals_heard_by(monkeypatch, receiver, flip)
 
 
 def test_flipped_signal_bit_fails_verification(monkeypatch):
@@ -374,21 +375,16 @@ def test_flipped_signal_bit_fails_verification(monkeypatch):
 
 
 def test_missing_signal_ends_the_run(monkeypatch):
-    import d3c.engine
-
     receiver = 3
-    real_run_shuffle = d3c.engine.run_shuffle
     dropped = []
 
-    def dropping_run_shuffle(scheme, computed):
-        delivered, bits = real_run_shuffle(scheme, computed)
-        # a signal whose coding set holds the receiver, so it decodes with it
-        key = next(key for key in sorted(delivered[receiver]) if receiver in key[1].j)
-        del delivered[receiver][key]
-        dropped.append(key)
-        return delivered, bits
+    def drop(signal):
+        if not _first_owner(signal, receiver):
+            return signal
+        dropped.append((signal.sender, signal.group))
+        return None
 
-    monkeypatch.setattr(d3c.engine, "run_shuffle", dropping_run_shuffle)
+    fault_signals_heard_by(monkeypatch, receiver, drop)
     with pytest.raises(ExecutionError, match=f"decode failed at node {receiver}:") as info:
         run_basic(3, 6, 2, 2, T=8)
     (sender, group), = dropped
@@ -396,6 +392,19 @@ def test_missing_signal_ends_the_run(monkeypatch):
     assert isinstance(cause, DecodeError)
     assert cause.batch == group.requested_by(receiver)
     assert cause.owner == sender
+
+
+def test_a_node_is_refused_its_own_signals():
+    scheme = build_basic_scheme(make_params(3, 6, 2, 2, T=8))
+    group = next(iter(scheme.coding))
+    own, other = (MulticastSignal(k, group, BitString(k, 8)) for k in (1, 2))
+    node = _Node(1, generate_corpus(6, 64, 0), {1, 2})
+    node.signals = {(1, group): own, (2, group): other}
+    assert node.get((1, group)) is None
+    assert node.get((1, group), "absent") == "absent"
+    assert node.signal_reads == 0  # a refused lookup is not counted
+    assert node.get((2, group)) is other
+    assert node.signal_reads == 1
 
 
 def test_reduce_input_with_a_hole_raises(monkeypatch):
@@ -441,15 +450,8 @@ def test_a_run_that_fails_kills_and_reaps_its_oracle_child(monkeypatch, forked_o
     def slow_oracle(corpus, suite, K):
         time.sleep(60)  # still running when the run fails
 
-    real_run_shuffle = d3c.engine.run_shuffle
-
-    def dropping_run_shuffle(scheme, computed):
-        delivered, bits = real_run_shuffle(scheme, computed)
-        delivered[3].clear()
-        return delivered, bits
-
     monkeypatch.setattr(d3c.engine, "oracle", slow_oracle)
-    monkeypatch.setattr(d3c.engine, "run_shuffle", dropping_run_shuffle)
+    fault_signals_heard_by(monkeypatch, 3, lambda signal: None)  # node 3 hears nothing
     start = time.monotonic()
     with pytest.raises(ExecutionError, match="decode failed at node 3:"):
         run_basic(3, 6, 2, 2, T=8)
