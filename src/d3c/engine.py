@@ -380,9 +380,9 @@ def execute(
             # to IvaId, so IvaId lookups still find every value
             computed: dict[int, dict[IvaId, int]] = {node.k: {} for node in nodes}
             for batch, files in scheme.batches.items():
-                for k in batch.s:
+                for k, functions in scheme.mappers(batch):
                     store, read = computed[k], nodes[k - 1].read
-                    for q in scheme.targets(k, batch):
+                    for q in functions:
                         for n in files:
                             store[q, n] = map_fn(q, n, read(n))
 

@@ -2,8 +2,8 @@
 
 A basic scheme with parameters (K, N, r, g) partitions the N files into
 batches indexed by (s, t) pairs and stores each batch at the nodes in s.
-One compute rule, ``BasicScheme.targets``, says which functions a node maps
-on a batch it stores. D3C maps the node's own function k, plus every
+One compute rule, ``BasicScheme.mappers``, says per batch which functions
+each node in s maps on it. D3C maps the node's own function k, plus every
 function q outside s when k sits in t (the values k contributes to coded
 multicasts). The CDC baseline keeps the same placement at g = r but maps
 every function on every stored batch, so its computation load is r.
@@ -103,11 +103,11 @@ class BasicScheme:
 
     ``batches`` maps each batch index (s, t) to its file ids; ``storage``,
     each node's stored files M_k, is derived from it. ``kind`` names the
-    rule that ``targets`` applies on each stored batch: "d3c" maps node k's
-    own function, and every function outside s when k is in t; "cdc" maps
-    every function. ``compute_own`` and ``compute_coded`` are views derived
-    from the rule: the values of k's own function and of the others, as
-    sorted IvaId tuples.
+    rule that ``mappers`` applies on each batch, for every node in s: "d3c"
+    maps node k's own function, and every function outside s when k is in
+    t; "cdc" maps every function. ``compute_own`` and ``compute_coded`` are
+    views derived from the rule: the values of k's own function and of the
+    others, as sorted IvaId tuples.
     """
 
     params: SchemeParams
@@ -115,6 +115,8 @@ class BasicScheme:
     kind: str = "d3c"
 
     def __post_init__(self):
+        if self.kind not in ("d3c", "cdc"):
+            raise InvalidParameterError(f"scheme kind must be 'd3c' or 'cdc', got {self.kind!r}")
         self.coding  # built once, with the scheme, before any exchange reads it
 
     @cached_property
@@ -127,23 +129,22 @@ class BasicScheme:
                 storage[k] += files
         return {k: tuple(files) for k, files in storage.items()}
 
-    def targets(self, k: int, batch: BatchIndex) -> tuple[int, ...]:
-        """Functions node k maps on every file of a batch it stores."""
-        nodes = range(1, self.params.K + 1)
+    def mappers(self, batch: BatchIndex) -> list[tuple[int, tuple[int, ...]]]:
+        """(k, functions k maps on every file of the batch) for each k in s."""
+        nodes = tuple(range(1, self.params.K + 1))
         if self.kind == "cdc":
-            return tuple(nodes)
-        if k not in batch.t:
-            return (k,)
-        stored = set(batch.s)
-        return (k, *(q for q in nodes if q not in stored))
+            return [(k, nodes) for k in batch.s]
+        stored, coding = set(batch.s), set(batch.t)
+        outside = tuple(q for q in nodes if q not in stored)
+        return [(k, (k, *outside) if k in coding else (k,)) for k in batch.s]
 
-    @cached_property
+    @property
     def compute_own(self) -> dict[int, tuple[IvaId, ...]]:
-        return self._planned(own=True)
+        return self._views[0]
 
-    @cached_property
+    @property
     def compute_coded(self) -> dict[int, tuple[IvaId, ...]]:
-        return self._planned(own=False)
+        return self._views[1]
 
     @cached_property
     def coding(self) -> dict[GroupIndex, tuple[CodingRow, ...]]:
@@ -165,16 +166,16 @@ class BasicScheme:
             )
         return table
 
-    def _planned(self, own: bool) -> dict[int, tuple[IvaId, ...]]:
-        return {
-            k: tuple(sorted(
-                IvaId(q, n)
-                for batch, files in self.batches.items() if k in batch.s
-                for q in self.targets(k, batch) if (q == k) == own
-                for n in files
-            ))
-            for k in range(1, self.params.K + 1)
-        }
+    @cached_property
+    def _views(self) -> tuple[dict[int, tuple[IvaId, ...]], ...]:
+        """(compute_own, compute_coded), from one pass over the batches."""
+        nodes = range(1, self.params.K + 1)
+        own, coded = {k: [] for k in nodes}, {k: [] for k in nodes}
+        for batch, files in self.batches.items():
+            for k, functions in self.mappers(batch):
+                for q in functions:
+                    (own if q == k else coded)[k] += (IvaId(q, n) for n in files)
+        return tuple({k: tuple(sorted(ivas)) for k, ivas in view.items()} for view in (own, coded))
 
 
 def _placement(params: SchemeParams, first_file: int = 1) -> dict[BatchIndex, tuple[int, ...]]:
@@ -209,9 +210,9 @@ def measure_storage(scheme: BasicScheme) -> Fraction:
 def measure_computation(scheme: BasicScheme) -> Fraction:
     """Total planned map evaluations over N*K."""
     total = sum(
-        len(files) * len(scheme.targets(k, batch))
+        len(files) * len(functions)
         for batch, files in scheme.batches.items()
-        for k in batch.s
+        for _, functions in scheme.mappers(batch)
     )
     return Fraction(total, scheme.params.N * scheme.params.K)
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from d3c.analytics import (
+    basic_communication,
     basic_computation,
     build_curve,
     c_star,
@@ -249,6 +250,48 @@ def test_flat_region_identity():
     integer_curve = build_curve(6, 3)
     for c in (Fraction(5, 2), 3):
         assert query_load(integer_curve, c) == optimal_load_cdc(6, 3)
+
+
+def _plane(K, g, r, c):
+    """P_g(r, c) = (2/(g+1))(1 - r/K) - (c - 1)/(g(g+1)): the plane through
+    the basic points (r', g') with g' in {g, g + 1}. It is affine in (r, c),
+    so every file-group mixture of basic points lies on or above it."""
+    return Fraction(2, g + 1) * (1 - Fraction(r, K)) - (c - 1) / (g * (g + 1))
+
+
+def test_every_basic_point_lies_on_or_above_every_plane():
+    # with u = 1 - r/K, L - P_h(r, c) = u(h - g)(h - g + 1)/(h g (h + 1)) for
+    # the basic point (r, g): zero on lines h and h + 1 and at r = K, and
+    # otherwise positive, as a product of two consecutive nonzero integers
+    checks = 0
+    for K in range(2, 25):
+        for r in range(1, K + 1):
+            for g in range(1, r + 1):
+                c, L = basic_computation(K, r, g), basic_communication(K, r, g)
+                for h in range(1, K + 1):
+                    gap = L - _plane(K, h, r, c)
+                    assert gap >= 0, (K, r, g, h)
+                    assert (gap == 0) == (g in (h, h + 1) or r == K), (K, r, g, h)
+                    checks += 1
+    assert checks == 47449
+
+
+def test_query_load_is_the_plane_of_the_implied_g_or_the_chord():
+    # on the benchmark's planning grid (K 3-16, r on the 1/4 grid below K,
+    # 20 evenly spaced c in [1, r]) the curve's load is the higher of the
+    # plane below floor(implied g) and the converse chord, so no mixture of
+    # basic schemes does better
+    targets = 0
+    for K in range(3, 17):
+        for q in range(4, 4 * K):
+            r = Fraction(q, 4)
+            curve, chord = build_curve(K, r), optimal_load_cdc(K, r)
+            for i in range(20):
+                c = 1 + (r - 1) * Fraction(i, 19)
+                g = math.floor(implied_g(K, r, c))
+                assert query_load(curve, c) == max(_plane(K, g, r, c), chord), (K, r, c)
+                targets += 1
+    assert targets == 9520
 
 
 def test_curve_rows_kinds_and_resolution():

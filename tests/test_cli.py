@@ -657,6 +657,20 @@ def test_inspect_at_K_equal_r_700_is_quick(capsys):
     assert doc["compute_own"]["700"] == [[700, 1]] and doc["compute_coded"]["700"] == []
 
 
+def test_inspect_at_K_equal_r_5000_is_quick(capsys):
+    # the compute rule is derived once per batch: the one batch's complement
+    # and coding set are built once, not once for each of its 5000 members
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "inspect", "--K", "5000", "--N", "1", "--r", "5000", "--g", "5000", "--T", "40000"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["storage"] == {str(k): [1] for k in range(1, 5001)}
+    assert doc["compute_own"]["5000"] == [[5000, 1]] and doc["compute_coded"]["5000"] == []
+
+
 def test_saturation_sweep_needs_two_nodes(capsys):
     for K in ("1", "0", "-2"):
         code, out, err = run(capsys, "tradeoff", "--cstar-sweep", "--K", K)

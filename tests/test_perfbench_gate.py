@@ -2,7 +2,9 @@
 calls it uses (``map_fn``, ``build_signals``, ``run_shuffle``,
 ``decode_node``), and its gates and fault self-test hold on coded_shuffle
 and on verify_matrix, whose replay covers all 56 schemes of ``d3c verify
---K 7``."""
+--K 7``. The replay maps each node's values from the scheme's
+``compute_own`` and ``compute_coded`` views, which ``execute`` never reads;
+that is why ``BasicScheme`` keeps them while the replay exists."""
 
 import json
 import subprocess

@@ -7,6 +7,7 @@ import pytest
 from d3c.combinatorics import binomial
 from d3c.errors import DivisibilityError, InvalidParameterError
 from d3c.scheme import (
+    BasicScheme,
     IvaId,
     SchemeParams,
     build_basic_scheme,
@@ -182,6 +183,16 @@ def test_cdc_computes_everything_it_stores():
         }
         assert set(cdc.compute_own[k]) | set(cdc.compute_coded[k]) == expected
     assert measure_storage(cdc) == 2
+
+
+def test_an_unknown_kind_is_rejected():
+    # the compute rule knows "d3c" and "cdc" alone; any other name, "CDC"
+    # included, would run the d3c rule under that name
+    params = make_params(3, 6, 2, 2, T=8)
+    batches = build_basic_scheme(params).batches
+    for kind in ("CDC", "D3C", "", "uncoded"):
+        with pytest.raises(InvalidParameterError, match="scheme kind must be 'd3c' or 'cdc'"):
+            BasicScheme(params, batches, kind=kind)
 
 
 def test_cdc_dominates_coded_computation():
