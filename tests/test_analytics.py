@@ -278,9 +278,9 @@ def test_every_basic_point_lies_on_or_above_every_plane():
 
 def test_query_load_is_the_plane_of_the_implied_g_or_the_chord():
     # on the benchmark's planning grid (K 3-16, r on the 1/4 grid below K,
-    # 20 evenly spaced c in [1, r]) the curve's load is the higher of the
-    # plane below floor(implied g) and the converse chord, so no mixture of
-    # basic schemes does better
+    # 20 evenly spaced c in [1, r]) the curve's load is the higher of P_g at
+    # g = floor(implied g) and the converse chord: both bound every mixture
+    # of basic schemes, so no mixture does better
     targets = 0
     for K in range(3, 17):
         for q in range(4, 4 * K):
