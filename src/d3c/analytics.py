@@ -5,17 +5,21 @@ For storage space r and integer coding parameter g, the achievable pair is
     c(r, g) = r/K + (1 - r/K) * g        (computation load)
     L(r, g) = (1/g) * (1 - r/K)          (communication load)
 
-equivalently L = (1 - r/K)^2 / (c - r/K); basic_computation and
-basic_communication evaluate them, and every other load in the package is
-built from those two. The curve over c for fixed r is the lower convex
-envelope of the corner points g = 1..floor(r) together with the saturation
-point (c_star(r), optimal_load_cdc(r)); beyond c_star(r) the load stays flat
-up to c = r. At fractional r the saturation load is the chord between the
-neighboring integer points: by the converse of Li, Maddah-Ali, Yu and
-Avestimehr (arXiv:1604.07086) no scheme does better, and computing fewer
-intermediate values cannot lower it. The direct formula lstar_formula(r)
-lies below that chord and is only a bound no plan reaches. All arithmetic is
-exact rational; floats appear only when rows are serialized.
+and every load in the package is built from basic_computation and
+basic_communication. The curve over c is the envelope of the corners
+g = 1..floor(r) and the saturation point (c_star, optimal_load_cdc), flat
+beyond it up to c = r. optimal_load_cdc is the chord of the neighboring
+integer points, which no scheme beats by the converse of Li, Maddah-Ali, Yu
+and Avestimehr (arXiv:1604.07086). Below c_star the curve rests on
+
+    P_g(r, c) = (2/(g+1))(1 - r/K) - (c - 1)/(g(g+1)):
+
+each basic point (r', g') has L' - P_g(r', c') = u(g - g')(g - g' + 1) /
+(g g' (g+1)) >= 0, where u = 1 - r'/K, zero exactly when g' is g or g + 1
+or r' = K. P_g is affine, so it bounds every file-group mixture of the
+library's basic schemes, and at g = floor(implied_g) the curve's load, which
+a plan reaches, is max(P_g, optimal_load_cdc). It is no converse for other
+schemes below c_star. All arithmetic is exact.
 """
 
 from __future__ import annotations

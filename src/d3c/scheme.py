@@ -107,7 +107,7 @@ class BasicScheme:
     maps node k's own function, and every function outside s when k is in
     t; "cdc" maps every function. ``compute_own`` and ``compute_coded`` are
     views derived from the rule: the values of k's own function and of the
-    others, as sorted IvaId tuples.
+    others, as sorted IvaId tuples. Every table is built by its first reader.
     """
 
     params: SchemeParams
@@ -117,7 +117,6 @@ class BasicScheme:
     def __post_init__(self):
         if self.kind not in ("d3c", "cdc"):
             raise InvalidParameterError(f"scheme kind must be 'd3c' or 'cdc', got {self.kind!r}")
-        self.coding  # built once, with the scheme, before any exchange reads it
 
     @cached_property
     def storage(self) -> dict[int, tuple[int, ...]]:
@@ -152,7 +151,7 @@ class BasicScheme:
         one (member, files, owners) row per member of j, ascending. ``files``
         is the batch (i, j) minus the member, which that member requests;
         ``owners``, its coding set, hold the block's g segments in ascending
-        order. Empty when every node stores everything (r = K).
+        order. Empty at r = K. Built by its first reader, the exchange.
         """
         p = self.params
         if p.r >= p.K:
@@ -165,6 +164,15 @@ class BasicScheme:
                 for member, batch in zip(group.j, requested)
             )
         return table
+
+    @cached_property
+    def member_groups(self) -> dict[int, list[GroupIndex]]:
+        """Each node's multicast groups, those whose j holds it, in order."""
+        groups: dict[int, list[GroupIndex]] = {k: [] for k in range(1, self.params.K + 1)}
+        for group in self.coding:
+            for k in group.j:
+                groups[k].append(group)
+        return groups
 
     @cached_property
     def _views(self) -> tuple[dict[int, tuple[IvaId, ...]], ...]:

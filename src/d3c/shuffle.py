@@ -141,11 +141,11 @@ def decode_node(
     """Recover node k's full value set {v_(k,n) : n in [N]}, as ints by file.
 
     Locally computed values cover stored batches. Each missing batch is k's
-    row of a group whose j-set holds k. For each coding-set member j, the
-    j-owned segment of k's block is j's group signal with the known terms
-    cancelled (``_xor_known`` skipping k), each known block built once;
-    segments reassemble in ascending owner order into the block, which
-    splits back into values.
+    row of a group whose j-set holds k (``member_groups``). For each
+    coding-set member j, the j-owned segment of k's block is j's group
+    signal with the known terms cancelled (``_xor_known`` skipping k), each
+    known block built once; segments reassemble in ascending owner order
+    into the block, which splits back into values.
     """
     p = scheme.params
     T, seg_bits = p.T, p.eta * p.T // p.g
@@ -156,9 +156,8 @@ def decode_node(
         if iva is None:
             raise DecodeError(f"node {k} missing own value for file {n}")
         result[n] = iva
-    for group, members in scheme.coding.items():
-        if k not in group.j:
-            continue
+    for group in scheme.member_groups[k]:
+        members = scheme.coding[group]
         _, files, owners = members[group.j.index(k)]
         block = _blocks(computed_k, T)
         recovered = 0

@@ -4,6 +4,7 @@ Corner identities are cross-checked against the combinatorial counts of
 actually constructed schemes, not just against the closed forms.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -25,6 +26,7 @@ from d3c.analytics import (
     to_fraction,
 )
 from d3c.combinatorics import binomial
+from d3c.composer import minimal_files, plan_for_target
 from d3c.errors import InvalidParameterError
 from d3c.scheme import build_basic_scheme, make_params, measure_computation
 
@@ -292,6 +294,81 @@ def test_query_load_is_the_plane_of_the_implied_g_or_the_chord():
                 assert query_load(curve, c) == max(_plane(K, g, r, c), chord), (K, r, c)
                 targets += 1
     assert targets == 9520
+
+
+def test_every_plan_group_lies_on_its_targets_face():
+    # on the plan golden grid (K 3-10, r on the 1/4 grid below K, 20 evenly
+    # spaced c in [1, r]) every group of the plan at minimal_files sits where
+    # the certificate is tight: on P_g at g = floor(implied g), or on the
+    # converse chord once the plan is clamped to c_star
+    groups = 0
+    for K in range(3, 11):
+        for q in range(4, 4 * K):
+            r = Fraction(q, 4)
+            for i in range(20):
+                c = 1 + (r - 1) * Fraction(i, 19)
+                plan = plan_for_target(K, minimal_files(K, r, c), r, c)
+                g = math.floor(implied_g(K, r, c))
+                for sp in plan.groups:
+                    L = basic_communication(K, sp.r, sp.g)
+                    if plan.route == "clamp":
+                        face = optimal_load_cdc(K, sp.r)
+                    else:
+                        face = _plane(K, g, sp.r, basic_computation(K, sp.r, sp.g))
+                    assert L == face, (K, r, c, plan.route, sp)
+                    groups += 1
+    assert groups == 7898
+
+
+def _det(a, b, c):
+    """Determinant of the 3x3 matrix with columns a, b, c."""
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+def _mixture_optimum(K, r, c):
+    """The least load over file-group mixtures of basic points (r', g'),
+    1 <= g' <= r' <= K, with weights w >= 0 summing to 1, storage sum(w r')
+    = r and computation sum(w c') <= c, by brute force: a slack column makes
+    the budget an equality, and each basis of 3 columns (at most 3 points)
+    is solved exactly by Cramer's rule; the optimum is a feasible basis."""
+    columns = [
+        ((1, r_, basic_computation(K, r_, g_)), basic_communication(K, r_, g_))
+        for r_ in range(1, K + 1)
+        for g_ in range(1, r_ + 1)
+    ]
+    columns.append(((0, 0, 1), Fraction(0)))  # the unspent computation budget
+    rhs = (1, r, c)
+    best = None
+    for basis in itertools.combinations(columns, 3):
+        cols = [col for col, _ in basis]
+        d = _det(*cols)
+        if d == 0:
+            continue
+        weights = [
+            _det(*(rhs if m == n else col for m, col in enumerate(cols))) / d for n in range(3)
+        ]
+        if min(weights) >= 0:
+            load = sum(w * L for w, (_, L) in zip(weights, basis))
+            best = load if best is None else min(best, load)
+    return best
+
+
+def test_query_load_is_the_least_load_of_any_basic_mixture():
+    # K in {3, 4}, r on the 1/4 grid below K, 9 evenly spaced c in [1, r]
+    targets = 0
+    for K in (3, 4):
+        for q in range(4, 4 * K):
+            r = Fraction(q, 4)
+            curve = build_curve(K, r)
+            for i in range(9):
+                c = 1 + (r - 1) * Fraction(i, 8)
+                assert _mixture_optimum(K, r, c) == query_load(curve, c), (K, r, c)
+                targets += 1
+    assert targets == 180
 
 
 def test_curve_rows_kinds_and_resolution():

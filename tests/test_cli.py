@@ -671,6 +671,17 @@ def test_inspect_at_K_equal_r_5000_is_quick(capsys):
     assert doc["compute_own"]["5000"] == [[5000, 1]] and doc["compute_coded"]["5000"] == []
 
 
+def test_inspect_builds_no_coding_table(capsys, monkeypatch):
+    import d3c.scheme
+
+    enumerated, enum_pi = [], d3c.scheme.enum_pi
+    monkeypatch.setattr(d3c.scheme, "enum_pi", lambda *a: enumerated.append(a) or enum_pi(*a))
+    code, out, _ = run(capsys, "inspect", "--K", "5", "--N", "30", "--r", "3", "--g", "2")
+    assert code == 0
+    assert len(json.loads(out)["batches"]) == 30
+    assert enumerated == []  # only the coded exchange reads the table
+
+
 def test_saturation_sweep_needs_two_nodes(capsys):
     for K in ("1", "0", "-2"):
         code, out, err = run(capsys, "tradeoff", "--cstar-sweep", "--K", K)

@@ -204,6 +204,14 @@ def test_cdc_dominates_coded_computation():
         assert (c_cdc == c_coded) == (r == 1 and g == 1)
 
 
+def test_serializing_a_scheme_builds_no_coding_table():
+    scheme = minimal_scheme(5, 3, 2)
+    scheme_to_dict(scheme)
+    assert "coding" not in vars(scheme)
+    assert len(scheme.coding) == binomial(5, 4) * binomial(4, 3)  # built by its first reader
+    assert "coding" in vars(scheme)
+
+
 def test_serialization_schema():
     scheme = golden_scheme()
     doc = scheme_to_dict(scheme)

@@ -5,6 +5,7 @@ value table and compares the decoded results bit for bit; it never touches
 the exchange path it is checking.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -282,7 +283,7 @@ def test_coding_table_is_enumerated_once_per_scheme(monkeypatch):
         return enum_pi(*args)
 
     monkeypatch.setattr(d3c.scheme, "enum_pi", counting_enum_pi)
-    scheme = minimal_scheme(5, 3, 2, eta=2, T=8)  # the table is built here
+    scheme = minimal_scheme(5, 3, 2, eta=2, T=8)  # build_signals builds the table
     computed, table = computed_stores(scheme)
     build_signals(scheme, computed)
     delivered, _ = run_shuffle(scheme, computed)
@@ -290,6 +291,37 @@ def test_coding_table_is_enumerated_once_per_scheme(monkeypatch):
         values = decode_node(k, scheme, computed[k], delivered[k])
         assert all(values[n] == table[IvaId(k, n)] for n in values)
     assert calls == [(5, 3, 2)]
+
+
+class _ReadRecorder(Mapping):
+    """A coding table that records each group whose rows are read."""
+
+    def __init__(self, table):
+        self.table, self.read = table, []
+
+    def __getitem__(self, group):
+        self.read.append(group)
+        return self.table[group]
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
+
+
+def test_a_receiver_reads_only_the_groups_that_hold_it():
+    # 2016 groups at K = 64, r = 1; node 7 sits in the j of 63 of them
+    scheme = minimal_scheme(64, 1, 1)
+    computed, table = computed_stores(scheme)
+    signals = build_signals(scheme, computed)
+    delivered = {(s.sender, s.group): s for s in signals if s.sender != 7}
+    recorder = _ReadRecorder(scheme.coding)
+    scheme.__dict__["coding"] = recorder
+    values = decode_node(7, scheme, computed[7], delivered)
+    assert values == {n: table[IvaId(7, n)] for n in range(1, 65)}
+    assert len(recorder.read) == 63
+    assert all(7 in group.j for group in recorder.read)
 
 
 def test_wrong_length_signal_is_a_decode_error():
