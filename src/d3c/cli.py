@@ -10,6 +10,7 @@ across runs for identical flags and seed.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -49,12 +50,12 @@ def _fraction(text: str) -> Fraction:
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    return [_fraction(part) for part in text.split(",") if part]
+    return [_fraction(part) for part in text.split(",")]
 
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
@@ -70,7 +71,9 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def _write_json(args, doc) -> None:
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    json.dump(doc, buffer := io.StringIO(), indent=2)  # json.dumps would list every chunk
+    buffer.write("\n")
+    _write_text(args.out, buffer.getvalue())
 
 
 def _csv_cell(cell) -> str:
@@ -82,15 +85,15 @@ def _csv_cell(cell) -> str:
     return str(cell)
 
 
-def _write_table(args, header: list[str], rows: list[list]) -> None:
+def _write_table(args, header: list[str], rows) -> None:
     """CSV, or with --format json one object per row with each Fraction as
-    its exact string."""
+    its exact string; rows, a list or an iterator, are read once."""
     if args.format == "json":
-        exact = [[str(c) if isinstance(c, Fraction) else c for c in row] for row in rows]
+        exact = ([str(c) if isinstance(c, Fraction) else c for c in row] for row in rows)
         _write_json(args, [dict(zip(header, row)) for row in exact])
         return
-    lines = [header] + [[_csv_cell(cell) for cell in row] for row in rows]
-    _write_text(args.out, "".join(",".join(line) + "\n" for line in lines))
+    lines = (",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    _write_text(args.out, "".join([",".join(header) + "\n", *lines]))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,11 +209,8 @@ def _cmd_tradeoff(args) -> int:
         if args.K < 2:
             raise InvalidParameterError("need --K >= 2")
         _check_size(args, 20 * (args.K - 1), "rows")
-        rows = []
-        r = Fraction(1)
-        while r < args.K:
-            rows.append([r, analytics.c_star(args.K, r), r])
-            r += Fraction(1, 20)
+        rs = (Fraction(i, 20) for i in range(20, 20 * args.K))  # 1, 1.05, ... below K
+        rows = ([r, analytics.c_star(args.K, r), r] for r in rs)
         _write_table(args, ["r", "c_star", "c_equals_r"], rows)
         return EXIT_OK
     if args.r is None:
@@ -228,8 +228,7 @@ def _cmd_tradeoff(args) -> int:
     if args.format == "json":
         _write_json(args, analytics.curve_to_dict(curve))
     else:
-        rows = analytics.curve_rows(curve, resolution)
-        _write_table(args, ["c", "L", "segment_kind"], rows)
+        _write_table(args, ["c", "L", "segment_kind"], analytics.curve_rows(curve, resolution))
     return EXIT_OK
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,24 @@ def test_usage_errors_exit_one(capsys):
     for mode in (("--c", "4/3"), ("--g", "1")):  # no files: a usage error on either path
         code, _, err = run(capsys, "simulate", "--K", "3", "--N", "0", "--r", "2", *mode)
         assert code == 1 and "file count must be positive, got 0" in err
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--r", ("sweep", "--K", "4", "--r", "")),
+        ("--r", ("sweep", "--K", "4", "--r", "2,,3")),
+        ("--c", ("sweep", "--K", "4", "--r", "2", "--c", "", "--resolution", "3")),
+        ("--g", ("compare", "--K", "3", "--N", "6", "--r", "2", "--g", ",1,", "--T", "8")),
+        ("--g", ("compare", "--K", "3", "--N", "6", "--r", "2", "--g", "", "--cdc", "--T", "8")),
+    ],
+)
+def test_an_empty_list_item_is_a_usage_error(capsys, flag, argv):
+    """An empty item, and so an empty list, is refused, not dropped: dropped,
+    these ran a header-only sweep, the --resolution grid and the baseline alone."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"error: argument {flag}: not a " in err
 
 
 def test_compare_table(capsys):
@@ -680,6 +699,25 @@ def test_inspect_builds_no_coding_table(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["batches"]) == 30
     assert enumerated == []  # only the coded exchange reads the table
+
+
+@pytest.mark.parametrize("fmt, bound_mib", [("csv", 3), ("json", 11)])
+def test_a_large_table_is_built_once(tmp_path, fmt, bound_mib):
+    """tradeoff --K 500 --cstar-sweep writes 9,980 rows. On CPython 3.11 its
+    traced peak was 6.2 MiB as CSV and 13.8 MiB as JSON while the writer held
+    every row, a string per cell and the output (or json.dumps's chunk list)
+    at once, and is 1.2 and 7.8 MiB with rows passed from the generator to the
+    one output string."""
+    argv = ["tradeoff", "--K", "500", "--cstar-sweep", "--format", fmt]
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(tmp_path / "cstar")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "cstar").read_text()
+    assert (code, len(json.loads(text)) if fmt == "json" else text.count("\n") - 1) == (0, 9980)
+    assert peak < bound_mib * 2**20
 
 
 def test_saturation_sweep_needs_two_nodes(capsys):

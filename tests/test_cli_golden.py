@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -88,6 +89,16 @@ def test_cli_output_matches_recorded_digest(name, tmp_path):
 
 def test_every_case_has_a_digest():
     assert sorted(json.loads(DIGESTS.read_text())) == sorted(CASES)
+
+
+def test_cases_cover_every_readme_cli_example():
+    """Each ``d3c ...`` line of the sh block under README's "## CLI", its
+    ``--out PATH`` removed, is the argument string of a case."""
+    readme = Path(__file__).parents[1].joinpath("README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line.removeprefix("d3c ") for line in block.splitlines() if line.startswith("d3c ")]
+    examples = [re.sub(r" --out \S+", "", line) for line in examples]
+    assert examples and [e for e in examples if e not in CASES.values()] == []
 
 
 if __name__ == "__main__":
