@@ -25,6 +25,7 @@ schemes below c_star. All arithmetic is exact.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -190,25 +191,29 @@ def query_load(curve: TradeoffCurve, c: RationalLike) -> Fraction:
     return _chord(a, b, c)
 
 
-def curve_rows(curve: TradeoffCurve, samples: int = 0) -> list[tuple[Fraction, Fraction, str]]:
-    """(c, L, segment_kind) rows for emission: the envelope points, the given
-    number of interpolated samples inside each segment, and the flat tail."""
+def curve_rows(curve: TradeoffCurve, samples: int = 0) -> Iterator[tuple[Fraction, Fraction, str]]:
+    """(c, L, segment_kind) rows for emission, made one at a time as they are
+    read: the envelope points, the given number of interpolated samples
+    inside each segment, and the flat tail. A negative count is refused at
+    the call, before any row is read."""
     if samples < 0:
         raise InvalidParameterError("resolution must be non-negative")
-    rows: list[tuple[Fraction, Fraction, str]] = []
+    return _rows(curve, samples)
+
+
+def _rows(curve: TradeoffCurve, samples: int) -> Iterator[tuple[Fraction, Fraction, str]]:
     points = curve.points
     for a, b in zip(points, points[1:]):
-        rows.append((a.c, a.L, "corner"))
+        yield a.c, a.L, "corner"
         for i in range(1, samples + 1):
             c = a.c + (b.c - a.c) * Fraction(i, samples + 1)
-            rows.append((c, _chord(a, b, c), "chord"))
-    rows.append((points[-1].c, points[-1].L, "corner"))
+            yield c, _chord(a, b, c), "chord"
+    yield points[-1].c, points[-1].L, "corner"
     if curve.r > points[-1].c:
         for i in range(1, samples + 1):
             c = points[-1].c + (curve.r - points[-1].c) * Fraction(i, samples + 1)
-            rows.append((c, points[-1].L, "flat"))
-        rows.append((curve.r, points[-1].L, "flat"))
-    return rows
+            yield c, points[-1].L, "flat"
+        yield curve.r, points[-1].L, "flat"
 
 
 def curve_to_dict(curve: TradeoffCurve) -> dict:

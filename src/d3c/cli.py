@@ -249,10 +249,10 @@ def _check_size(args, count: int, unit: str = "(file, node) pairs", budget=None)
 
 def _check_digests(args, runs) -> None:
     """Refuse runs (K, N, r, T) over DIGEST_BUDGET 512-bit digest blocks, as the
-    README counts them: B is --B or T, and a T of None is 8 lcm(1..ceil(r))."""
+    README counts them, each at the value size T it executes with; B is --B
+    or T."""
     count, B = 0, getattr(args, "B", None)
     for K, N, r, T in runs:
-        T = default_iva_bits(math.ceil(r)) if T is None else T
         per_value, record = -(-T // 512), -(-N * (4 + -(-T // 8)) // 64)
         outputs = 2 * -(-(B or T) // 512) * (1 + record)
         count += max(K, 1) * ((math.ceil(r) + 1) * N * per_value + outputs)
@@ -272,10 +272,9 @@ def _default_T(r: int) -> int:
     return T
 
 
-def _basic_scheme(args, r: int, g: int | None, runs: int = 0) -> BasicScheme:
+def _basic_scheme(args, r: int, g: int | None) -> BasicScheme:
     """The coded scheme at integer storage r and coding parameter g (the cdc
-    baseline when g is None), --T by default default_iva_bits(r), built once
-    its parameters and the digest blocks of ``runs`` runs of it pass. The
+    baseline when g is None), --T by default default_iva_bits(r). The
     parameters are checked before the default T is computed, with T = g,
     which passes every check that the default (a multiple of g) passes."""
     g_or_r = r if g is None else g
@@ -283,15 +282,17 @@ def _basic_scheme(args, r: int, g: int | None, runs: int = 0) -> BasicScheme:
     params = SchemeParams(K=args.K, N=args.N, F=64, T=T, r=r, g=g_or_r)
     if args.T is None:
         params = replace(params, T=_default_T(r))
-    _check_digests(args, [(args.K, args.N, r, params.T)] * runs)
     if g is None:
         return build_cdc_scheme(args.K, args.N, r, T=params.T)
     return build_basic_scheme(params)
 
 
-def _passed(report: engine.ExecutionReport) -> bool:
-    """Decoding verified and every measured load equal to its prediction."""
-    return report.verification_passed and report.measured == LoadReport(**report.predicted)
+def _run(plan, N: int, F: int, T: int, seed: int, B: int | None = None):
+    """Execute plan on the seeded corpus of N files of F bits, with T-bit
+    values and B-bit outputs; the report, and whether decoding verified and
+    every measured load equals its prediction."""
+    report = engine.execute(plan, engine.generate_corpus(N, F, seed), engine.default_suite(T, B))
+    return report, report.verification_passed and report.measured == LoadReport(**report.predicted)
 
 
 def _resolve_simulate_plan(args):
@@ -308,20 +309,18 @@ def _resolve_simulate_plan(args):
         raise InvalidParameterError("--g requires integer --r")
     _check_size(args, args.N * max(args.K, 1))
     if args.cdc or args.g is not None:
-        scheme = _basic_scheme(args, int(args.r), args.g, runs=1)
+        scheme = _basic_scheme(args, int(args.r), args.g)
         return scheme, scheme.params.T
-    plan = composer.plan_for_target(args.K, args.N, args.r, args.c)  # its refusals come first
-    _check_digests(args, [(args.K, args.N, args.r, args.T)])
+    plan = composer.plan_for_target(args.K, args.N, args.r, args.c)
     return plan, composer.safe_iva_bits(plan) if args.T is None else args.T
 
 
 def _cmd_simulate(args) -> int:
     plan, T = _resolve_simulate_plan(args)
-    corpus = engine.generate_corpus(args.N, 64, args.seed)
-    suite = engine.default_suite(T, args.B)
-    report = engine.execute(plan, corpus, suite)
+    _check_digests(args, [(args.K, args.N, args.r, T)])
+    report, passed = _run(plan, args.N, 64, T, args.seed, args.B)
     _write_json(args, report.to_dict())
-    return EXIT_OK if _passed(report) else EXIT_VERIFICATION
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def _cmd_compare(args) -> int:
@@ -329,14 +328,13 @@ def _cmd_compare(args) -> int:
     if not gs:
         raise InvalidParameterError("nothing to compare: give --g and/or --cdc")
     _check_size(args, len(gs) * args.N * max(args.K, 1))
-    # every scheme is validated, its runs counted and it is built before the corpus
-    schemes = [_basic_scheme(args, args.r, g, runs=len(gs)) for g in gs]
-    corpus = engine.generate_corpus(args.N, 64, args.seed)
-    suite = engine.default_suite(schemes[0].params.T, args.B)
+    # every scheme is validated and built, and their runs counted, before any corpus
+    schemes = [_basic_scheme(args, args.r, g) for g in gs]
+    _check_digests(args, [(args.K, args.N, args.r, scheme.params.T) for scheme in schemes])
     rows = []
     all_ok = True
     for g, scheme in zip(gs, schemes):
-        report = engine.execute(scheme, corpus, suite)
+        report, ok = _run(scheme, args.N, 64, scheme.params.T, args.seed, args.B)
         measured, predicted = report.measured, report.predicted
         rows.append([
             f"cdc-r{args.r}" if g is None else f"d3c-r{args.r}-g{g}",
@@ -347,7 +345,7 @@ def _cmd_compare(args) -> int:
             predicted["communication_load"],
             report.verification_passed,
         ])
-        all_ok &= _passed(report)
+        all_ok &= ok
     _write_table(args, ["name", "r", "c", "L", "predicted_c", "predicted_L", "verified"], rows)
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
@@ -368,18 +366,14 @@ def _cmd_verify(args) -> int:
     rows = []
     all_ok = True
     for K, r, g, N in _verify_grid(args.K):
-        T = 4 * g
-        scheme = build_basic_scheme(SchemeParams(K=K, N=N, F=16, T=T, r=r, g=g))
-        corpus = engine.generate_corpus(N, 16, args.seed)
-        report = engine.execute(scheme, corpus, engine.default_suite(T))
+        scheme = build_basic_scheme(SchemeParams(K=K, N=N, F=16, T=4 * g, r=r, g=g))
+        report, ok = _run(scheme, N, 16, 4 * g, args.seed)
         measured, predicted = report.measured, report.predicted
         c_ok = measured.computation_load == predicted["computation_load"]
         l_ok = measured.communication_load == predicted["communication_load"]
-        d_ok = report.verification_passed
-        ok = _passed(report)
         all_ok &= ok
         # flags as "true"/"false" strings, which the JSON form has always printed
-        rows.append([K, r, g, N, *map(_csv_cell, (c_ok, l_ok, d_ok, ok))])
+        rows.append([K, r, g, N, *map(_csv_cell, (c_ok, l_ok, report.verification_passed, ok))])
     header = ["K", "r", "g", "N", "computation_ok", "communication_ok", "decode_ok", "pass"]
     _write_table(args, header, rows)
     return EXIT_OK if all_ok else EXIT_VERIFICATION
@@ -401,7 +395,7 @@ def _cmd_sweep(args) -> int:
     # one row per computation value
     per_r = len(args.c) or resolution
     _check_size(args, sum(math.floor(r) + 1 + per_r for r in args.r), "rows")
-    points = []  # (r, c, predicted L, files the executed plan needs)
+    points = []  # (r, c, predicted L, and with --execute the plan at its minimal corpus and T)
     for r in args.r:
         curve = analytics.build_curve(args.K, r)
         if args.c:
@@ -410,24 +404,24 @@ def _cmd_sweep(args) -> int:
             n = resolution
             c_values = [1 + (r - 1) * Fraction(i, n - 1) for i in range(n)]
         for c in c_values:
-            predicted = analytics.query_load(curve, c)
-            N = composer.minimal_files(args.K, r, c) if args.execute else 0
-            points.append((r, c, predicted, N))
-    _check_size(args, sum(N for *_, N in points) * max(args.K, 1))
-    _check_digests(args, [(args.K, N, r, args.T) for r, _, _, N in points if N])
+            plan = T = None
+            if args.execute:
+                plan = composer.plan_for_target(args.K, composer.minimal_files(args.K, r, c), r, c)
+                T = composer.safe_iva_bits(plan) if args.T is None else args.T
+            points.append((r, c, analytics.query_load(curve, c), plan, T))
+    runs = [(args.K, plan.N, r, T) for r, _, _, plan, T in points if plan]
+    _check_size(args, sum(N for _, N, _, _ in runs) * max(args.K, 1))
+    _check_digests(args, runs)
     rows = []
     all_ok = True
-    for r, c, predicted, N in points:
+    for r, c, predicted, plan, T in points:
         measured = ""
         verified = ""
-        if args.execute:
-            plan = composer.plan_for_target(args.K, N, r, c)
-            T = composer.safe_iva_bits(plan) if args.T is None else args.T
-            corpus = engine.generate_corpus(N, 64, seed)
-            report = engine.execute(plan, corpus, engine.default_suite(T))
+        if plan:
+            report, ok = _run(plan, plan.N, 64, T, seed)
             measured = report.measured.communication_load
             verified = report.verification_passed
-            all_ok &= _passed(report) and measured == predicted
+            all_ok &= ok and measured == predicted
         rows.append([r, c, predicted, measured, verified])
     _write_table(args, ["r", "c", "predicted_L", "measured_L", "verified"], rows)
     return EXIT_OK if all_ok else EXIT_VERIFICATION

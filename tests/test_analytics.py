@@ -135,7 +135,7 @@ def test_curve_for_fractional_storage():
         (Fraction(29, 10), Fraction(1, 8)),
     ]
     assert curve.points[-1].g == Fraction(49, 11)
-    assert curve_rows(curve)[-1][0] == Fraction(9, 2)
+    assert list(curve_rows(curve))[-1][0] == Fraction(9, 2)
 
 
 def test_curve_for_integer_storage():
@@ -144,13 +144,13 @@ def test_curve_for_integer_storage():
         (1, Fraction(1, 3)),
         (Fraction(4, 3), Fraction(1, 6)),
     ]
-    assert curve_rows(curve)[-1][0] == 2
+    assert list(curve_rows(curve))[-1][0] == 2
 
 
 def test_curve_single_point():
     curve = build_curve(6, 1)
     assert [(p.c, p.L) for p in curve.points] == [(1, Fraction(5, 6))]
-    assert curve_rows(curve)[-1][0] == 1
+    assert list(curve_rows(curve))[-1][0] == 1
 
 
 def test_curve_monotone_and_convex():
@@ -372,11 +372,11 @@ def test_query_load_is_the_least_load_of_any_basic_mixture():
 
 
 def test_curve_rows_kinds_and_resolution():
-    plain = curve_rows(build_curve(10, "4.5"))
+    plain = list(curve_rows(build_curve(10, "4.5")))
     assert [kind for _, _, kind in plain] == ["corner"] * 5 + ["flat"]
     assert plain[-1][0] == Fraction(9, 2)
 
-    sampled = curve_rows(build_curve(10, "4.5"), 3)
+    sampled = list(curve_rows(build_curve(10, "4.5"), 3))
     kinds = [kind for _, _, kind in sampled]
     assert kinds.count("corner") == 5
     assert kinds.count("chord") == 4 * 3
@@ -386,7 +386,7 @@ def test_curve_rows_kinds_and_resolution():
     for c, L, _ in sampled:
         assert L == query_load(build_curve(10, "4.5"), c)
 
-    single = curve_rows(build_curve(6, 1))
+    single = list(curve_rows(build_curve(6, 1)))
     assert single == [(Fraction(1), Fraction(5, 6), "corner")]
     with pytest.raises(InvalidParameterError, match="resolution must be non-negative"):
         curve_rows(build_curve(10, "4.5"), -1)
@@ -397,6 +397,6 @@ def test_curve_rows_cost_does_not_grow_with_the_point_count():
     # not found again by scanning the curve from its first point
     curve = build_curve(1000, 500)
     start = time.perf_counter()
-    rows = curve_rows(curve, 100)
+    rows = list(curve_rows(curve, 100))
     assert time.perf_counter() - start < 5
     assert len(rows) == 500 * 101 + 1

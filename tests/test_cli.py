@@ -1,14 +1,21 @@
 """Command-line surface: flags, formats, file outputs, exit codes."""
 
+import io
 import json
 import math
+import re
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import fault_signals_heard_by
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from d3c import composer
 from d3c.cli import main
@@ -437,6 +444,11 @@ def _digest_blocks(K, N, r, T, B=None):
     )
 
 
+def _plan_blocks(K, N, r, c):
+    """_digest_blocks of the plan for (r, c) on N files, at its default T."""
+    return _digest_blocks(K, N, r, composer.safe_iva_bits(composer.plan_for_target(K, N, r, c)))
+
+
 def test_digest_budget_refuses_only_above_it(capsys, monkeypatch):
     import d3c.cli
 
@@ -447,16 +459,15 @@ def test_digest_budget_refuses_only_above_it(capsys, monkeypatch):
         for r in range(1, K)
         for g in range(1, r + 1)
     )
-    # a composite plan's default T is counted as 8 lcm(1..ceil(r)): 48 at r = 5/2
-    sweep = sum(
-        _digest_blocks(4, composer.minimal_files(4, Fraction(5, 2), c), 3, 48)
-        for c in (1, Fraction(5, 4))
-    )
+    # a composite plan is counted at the T it runs with, its own default
+    # safe_iva_bits(plan): 8 for each plan here
+    r = Fraction(5, 2)
+    sweep = sum(_plan_blocks(4, composer.minimal_files(4, r, c), r, c) for c in (1, Fraction(5, 4)))
     for argv, count in (
         (("verify", "--K", "3"), verify),
         (("simulate", *small, "--g", "2"), _digest_blocks(3, 6, 2, 8)),
         (("simulate", *small, "--cdc", "--B", "1000"), _digest_blocks(3, 6, 2, 8, 1000)),
-        (("simulate", *small[:6], "--c", "4/3"), _digest_blocks(3, 6, 2, 16)),
+        (("simulate", *small[:6], "--c", "4/3"), _plan_blocks(3, 6, 2, Fraction(4, 3))),
         (("compare", *small, "--g", "1,2", "--cdc"), 3 * _digest_blocks(3, 6, 2, 8)),
         (("sweep", "--K", "4", "--r", "2.5", "--c", "1,5/4", "--execute"), sweep),
     ):
@@ -468,6 +479,62 @@ def test_digest_budget_refuses_only_above_it(capsys, monkeypatch):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out, argv
     assert verify == 151 and _digest_blocks(3, 6, 2, 8) == 66  # worked by hand
+
+
+@st.composite
+def grid_targets(draw):
+    """The benchmark's planning grid: K 3-16, r on the 1/4 grid in [1, K),
+    20 evenly spaced c in [1, r]."""
+    K = draw(st.integers(3, 16))
+    r = Fraction(draw(st.integers(4, 4 * K - 1)), 4)
+    return K, r, 1 + (r - 1) * Fraction(draw(st.integers(0, 19)), 19)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(grid_targets())
+@example((12, Fraction(11), Fraction(39, 19)))
+def test_a_refused_plan_names_the_blocks_of_its_own_value_size(target):
+    # a plan is counted at the T it executes with; with no budget every run
+    # on its minimal corpus inside the pair budget is refused, naming that count
+    import d3c.cli
+
+    K, r, c = target
+    N = composer.minimal_files(K, r, c)
+    assume(N * K <= 2**20)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(d3c.cli, "DIGEST_BUDGET", 0), redirect_stdout(out), redirect_stderr(err):
+        code = main(["simulate", "--K", str(K), "--N", str(N), "--r", str(r), "--c", str(c)])
+    assert (code, out.getvalue()) == (1, "")
+    needs = f"needs {_plan_blocks(K, N, r, c)} 512-bit digest blocks, over the budget of 0"
+    assert needs in err.getvalue()
+
+
+def test_plans_run_within_the_budget_at_their_own_value_size(capsys):
+    # each plan here runs at T = 88; counted at 8 lcm(1..11) = 221,760 bits
+    # instead, the two needed 54,913,152 and 109,826,304 blocks
+    simulate = ("simulate", "--K", "12", "--N", "12", "--r", "11", "--c", "39/19")
+    code, out, err = run(capsys, *simulate)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verification"]["passed"] is True
+    assert run(capsys, *simulate, "--T", "88") == (code, out, err)
+    code, out, err = run(capsys, "sweep", "--K", "12", "--r", "11", "--c", "39/19,3", "--execute")
+    assert (code, err) == (0, "")
+    assert [row[-1] for row in parse_csv(out)[1]] == ["true", "true"]
+
+
+def test_readme_refusals_exit_at_once(capsys, digit_limit):
+    """Each backticked ``<subcommand> --K ...`` span of README's "Exit codes"
+    paragraph is refused (exit 1 or 2) with nothing on stdout, within 1 s."""
+    readme = Path(__file__).parents[1].joinpath("README.md").read_text()
+    paragraph = readme.split("\nExit codes:", 1)[1].split("\n\n", 1)[0].replace("\n", " ")
+    commands = "tradeoff|simulate|compare|verify|sweep|inspect"
+    spans = re.findall(rf"`((?:{commands}) --K [^`]*)`", paragraph)
+    assert len(spans) == 13
+    for span in spans:
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *span.split())
+        assert time.perf_counter() - start < 1, span
+        assert code in (1, 2) and out == "", span
 
 
 def test_row_requests_over_budget_are_refused_from_counts(capsys):
