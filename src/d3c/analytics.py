@@ -5,12 +5,13 @@ For storage space r and integer coding parameter g, the achievable pair is
     c(r, g) = r/K + (1 - r/K) * g        (computation load)
     L(r, g) = (1/g) * (1 - r/K)          (communication load)
 
-and every load in the package is built from basic_computation and
-basic_communication. The curve over c is the envelope of the corners
-g = 1..floor(r) and the saturation point (c_star, optimal_load_cdc), flat
-beyond it up to c = r. optimal_load_cdc is the chord of the neighboring
-integer points, which no scheme beats by the converse of Li, Maddah-Ali, Yu
-and Avestimehr (arXiv:1604.07086). Below c_star the curve rests on
+and every load in the package is built from these closed forms, each kept
+once: as int terms (scaled_*, *_terms) and as the Fractions built on them.
+The curve over c is the envelope of the corners g = 1..floor(r) and the
+saturation point (c_star, optimal_load_cdc), flat beyond it up to c = r.
+optimal_load_cdc is the chord of the neighboring integer points, which no
+scheme beats by the converse of Li, Maddah-Ali, Yu and Avestimehr
+(arXiv:1604.07086). Below c_star the curve rests on
 
     P_g(r, c) = (2/(g+1))(1 - r/K) - (c - 1)/(g(g+1)):
 
@@ -37,6 +38,8 @@ RationalLike = int | float | str | Fraction
 
 def to_fraction(x: RationalLike) -> Fraction:
     """Exact conversion; floats go through their shortest decimal form."""
+    if type(x) is Fraction:  # immutable, so it is its own conversion
+        return x
     if isinstance(x, Rational):
         return Fraction(x)
     if isinstance(x, float):
@@ -79,20 +82,41 @@ def _check_r(K: int, r: Fraction, *, allow_K: bool = False) -> None:
         raise InvalidParameterError(f"need 1 <= r {bound} {K}, got r={r}")
 
 
+def scaled_computation(K: int, r: int | Fraction, g: int | Fraction) -> int | Fraction:
+    """K times a basic scheme's computation load: r + (K - r) g."""
+    return r + (K - r) * g
+
+
+def scaled_communication(K: int, r: int | Fraction) -> int | Fraction:
+    """K g times a basic scheme's communication load: K - r."""
+    return K - r
+
+
 def basic_computation(K: int, r: int | Fraction, g: int | Fraction) -> Fraction:
     """Computation load of a basic scheme: r/K + (1 - r/K) g."""
-    return Fraction(r, K) + (1 - Fraction(r, K)) * g
+    return Fraction(scaled_computation(K, r, g), K)
 
 
 def basic_communication(K: int, r: int | Fraction, g: int | Fraction) -> Fraction:
     """Communication load of a basic scheme: (1/g)(1 - r/K)."""
-    return (1 - Fraction(r, K)) / g
+    return Fraction(scaled_communication(K, r), K * g)
+
+
+def implied_g_terms(K: int, a: int, b: int, p: int, q: int) -> tuple[int, int]:
+    """implied_g at r = a/b, c = p/q as ints: (p K b - a q) / (q (K b - a))."""
+    return p * K * b - a * q, q * (K * b - a)
 
 
 def implied_g(K: int, r: Fraction, c: Fraction) -> Fraction:
     """The coding parameter whose computation load is c: the inverse of
     basic_computation in g, (c - r/K)/(1 - r/K); needs r < K."""
-    return (c - Fraction(r, K)) / (1 - Fraction(r, K))
+    return Fraction(*implied_g_terms(K, r.numerator, r.denominator, c.numerator, c.denominator))
+
+
+def g_r_terms(K: int, a: int, b: int) -> tuple[int, int]:
+    """g_r at r = a/b as ints: (lo u + A (K - ceil(r))) / u; lo, A = divmod(a, b); u = K b - a."""
+    (lo, A), u = divmod(a, b), K * b - a
+    return lo * u + A * (K - lo - (A != 0)), u
 
 
 def corner_load(K: int, r: RationalLike, g: int) -> CornerPoint:
@@ -135,15 +159,14 @@ def g_r(K: int, r: RationalLike) -> Fraction:
     (r - floor(r)) * (K - ceil(r)) / (K - r); equals floor(r) for integer r."""
     r = to_fraction(r)
     _check_r(K, r)
-    lo = math.floor(r)
-    return lo + (r - lo) * (K - math.ceil(r)) / (K - r)
+    return Fraction(*g_r_terms(K, r.numerator, r.denominator))
 
 
 def c_star(K: int, r: RationalLike) -> Fraction:
-    """Computation load beyond which the minimum communication load holds."""
+    """Computation load past which the minimum load holds: (a + g_r u) / (b K) at r = a/b."""
     r = to_fraction(r)
     _check_r(K, r)
-    return basic_computation(K, r, g_r(K, r))
+    return Fraction(r.numerator + g_r_terms(K, r.numerator, r.denominator)[0], r.denominator * K)
 
 
 def build_curve(K: int, r: RationalLike) -> TradeoffCurve:

@@ -6,7 +6,7 @@ has a point at each integer coding parameter g = 1..floor(r), the storage
 split (floor(r), g) / (ceil(r), g) in the proportion that averages to r, and
 the saturation point at g_r, the pair (floor(r), floor(r)) /
 (ceil(r), ceil(r)). One rule plans every target: the budget c implies a
-coding parameter g, and the plan is the chord mix (_mix) of the two curve
+coding parameter g, and the plan is the chord mix (_route) of the two curve
 points around g, weighted so the mix lands on g. The point below is
 floor(g); the point above is floor(g) + 1 below floor(r) (route e2) and the
 saturation point past it (route e3). An integer g is one point (route corner
@@ -16,9 +16,9 @@ Beyond saturation the plan is the plan at c_star (route clamp): extra
 computation budget buys no further communication savings, so the plan's
 effective computation stays at the saturation load.
 
-Weighted loads are exact rationals, so at any admissible corpus size every
-target is hit exactly; no tolerance slack appears in any interface. The
-planner reports the smallest admissible file count instead of padding.
+Planning runs in ints over one denominator per target, and every target is
+hit exactly at any admissible corpus size; Fractions are built only for the
+plan's fields. The smallest admissible file count is reported, not padded.
 """
 
 from __future__ import annotations
@@ -27,13 +27,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytics import (
-    RationalLike,
-    basic_communication,
-    basic_computation,
-    g_r,
-    implied_g,
-    to_fraction,
+from .analytics import (  # basic_computation, basic_communication: re-exported
+    RationalLike, basic_communication, basic_computation, g_r_terms, implied_g_terms,
+    scaled_communication, scaled_computation, to_fraction,
 )
 from .combinatorics import group_divisor
 from .errors import DivisibilityError, InternalConsistencyError, InvalidParameterError
@@ -71,72 +67,55 @@ class CompositePlan:
     route: str  # one of corner, e1, e2, e3, clamp
 
 
-def _mix(a: list[GroupSpec], b: list[GroupSpec], w: Fraction) -> list[GroupSpec]:
-    """1 - w of groups a plus w of groups b: duplicate (r, g) groups are
-    combined, zero weights dropped, first-seen order kept."""
-    acc: dict[tuple[int, int], Fraction] = {}
-    for weight, groups in ((1 - w, a), (w, b)):
-        for sp in groups:
-            acc[sp.r, sp.g] = acc.get((sp.r, sp.g), Fraction(0)) + weight * sp.fraction
-    return [GroupSpec(f, r, g) for (r, g), f in acc.items() if f]
-
-
-def _point(r: Fraction, x: int | Fraction) -> list[GroupSpec]:
-    """The groups of the curve point at coding parameter x: the storage
-    split (floor(r), x) / (ceil(r), x) at integer x, the saturation pair
-    (floor(r), floor(r)) / (ceil(r), ceil(r)) at fractional x = g_r."""
-    lo, alpha = math.floor(r), r - math.floor(r)
-    if x.denominator == 1:
-        pairs = ((1 - alpha, lo, int(x)), (alpha, lo + 1, int(x)))
-    else:
-        pairs = ((1 - alpha, lo, lo), (alpha, lo + 1, lo + 1))
-    return [GroupSpec(f, r_, g) for f, r_, g in pairs if f]
-
-
-def _route(K: int, r: Fraction, c: Fraction) -> tuple[str, list[GroupSpec]]:
-    """The route label and the groups of the plan for (r, c): the chord mix
-    of the two curve points around the implied coding parameter; beyond
-    saturation, the groups of the plan at c_star."""
-    if not 1 <= c <= r:
+def _route(K: int, r: Fraction, c: Fraction) -> tuple[str, int, list[tuple[int, int, int]]]:
+    """The route label, a denominator D and the groups (n, r', g') holding n/D
+    of the files each: 1 - w of the curve point below the implied g and w of the
+    point above, w = (g - below) / (above - below), in first-seen order without
+    zero weights. At r = a/b, c = p/q, lo, A = divmod(a, b), hi = ceil(r) and
+    u = K b - a: g = G/Q = (p K b - a q)/(q u), g_r = Gr/u, and the point at
+    integer x is (b - A)/b of (lo, x) and A/b of (hi, x)."""
+    a, b, p, q = r.numerator, r.denominator, c.numerator, c.denominator
+    if not (q <= p and p * b <= a * q):
         raise InvalidParameterError(f"need 1 <= c <= r, got c={c}, r={r}")
-    if not r < K:
+    if not a < K * b:
         raise InvalidParameterError(f"need r < K for planning, got r={r}, K={K}")
-    g, gr = implied_g(K, r, c), g_r(K, r)
-    clamp = g > gr
-    if clamp:
-        g = gr
-    base = math.floor(g)
-    if base == g:
-        route, groups = ("corner" if r.denominator == 1 else "e1"), _point(r, base)
-    else:
-        # below floor(r) the next corner; above it the saturation point
-        route, upper = ("e2", base + 1) if base < math.floor(r) else ("e3", gr)
-        groups = _mix(_point(r, base), _point(r, upper), (g - base) / (upper - base))
-    return ("clamp" if clamp else route), groups
+    lo, A = divmod(a, b)
+    hi = lo + (A != 0)
+    (G, Q), (Gr, u) = implied_g_terms(K, a, b, p, q), g_r_terms(K, a, b)
+    clamp = G * u > Gr * Q  # g > g_r: plan at g_r = Gr q / Q
+    base, W = divmod(Gr * q if clamp else G, Q)  # g = base + W/Q
+    if not W:
+        route, D, groups = ("corner" if b == 1 else "e1"), b, [(b - A, lo, base), (A, hi, base)]
+    elif base < lo:  # w = W/Q toward the next corner
+        route, D = "e2", Q * b
+        groups = [((Q - W) * (b - A), lo, base), ((Q - W) * A, hi, base),
+                  (W * (b - A), lo, base + 1), (W * A, hi, base + 1)]
+    else:  # w = W / (q A (K - hi)) toward g_r, as g_r - lo = A (K - hi)/u; 1 on clamp
+        route, S = "e3", q * (K - hi)
+        D, groups = S * b, [((b - A) * S, lo, lo), (A * S - W, hi, lo), (W, hi, hi)]
+    return ("clamp" if clamp else route), D, [sp for sp in groups if sp[0]]
 
 
-def _files_needed(K: int, groups: list[GroupSpec]) -> int:
-    """Smallest corpus size at which every group's file count is an integer
-    multiple of its scheme's divisor."""
+def _files_needed(K: int, D: int, groups: list[tuple[int, int, int]]) -> int:
+    """Smallest corpus size N at which each group's n N / D files are a multiple of its divisor."""
     need = 1
-    for sp in groups:
-        divisor = group_divisor(K, sp.r, sp.g)
-        p, q = sp.fraction.numerator, sp.fraction.denominator
-        need = math.lcm(need, q * divisor // math.gcd(divisor, p))
+    for n, r, g in groups:
+        m = D * group_divisor(K, r, g)
+        need = math.lcm(need, m // math.gcd(m, n))
     return need
 
 
 def minimal_files(K: int, r: RationalLike, c: RationalLike) -> int:
     """Smallest corpus size for which the plan's groups all come out integer
     and meet their schemes' divisibility requirements."""
-    return _files_needed(K, _route(K, to_fraction(r), to_fraction(c))[1])
+    return _files_needed(K, *_route(K, to_fraction(r), to_fraction(c))[1:])
 
 
 def plan_for_target(K: int, N: int, r: RationalLike, c: RationalLike) -> CompositePlan:
     """Build the composite plan hitting (r, c) on a corpus of N files."""
     r, c = to_fraction(r), to_fraction(c)
-    route, groups = _route(K, r, c)
-    need = _files_needed(K, groups)
+    route, D, groups = _route(K, r, c)
+    need = _files_needed(K, D, groups)
     if N < 1:
         raise InvalidParameterError(f"file count must be positive, got {N}")
     if N % need:
@@ -145,17 +124,19 @@ def plan_for_target(K: int, N: int, r: RationalLike, c: RationalLike) -> Composi
             f"the smallest admissible file count is {need}",
             min_files=need,
         )
-    bound = []
-    offset = 0
-    for sp in groups:
-        count = int(sp.fraction * N)
-        bound.append(GroupSpec(sp.fraction, sp.r, sp.g, offset + 1, count))
+    bound, offset = [], 0
+    for n, r_, g in groups:
+        count = n * N // D
+        bound.append(GroupSpec(Fraction(n, D), r_, g, offset + 1, count))
         offset += count
     if offset != N:
         raise InternalConsistencyError(f"group counts sum to {offset}, expected {N}")
-    predicted_r = sum(sp.fraction * sp.r for sp in bound)
-    predicted_c = sum(sp.fraction * basic_computation(K, sp.r, sp.g) for sp in bound)
-    predicted_L = sum(sp.fraction * basic_communication(K, sp.r, sp.g) for sp in bound)
+    M = math.lcm(*(g for _, _, g in groups))
+    predicted_r = Fraction(sum(n * r_ for n, r_, _ in groups), D)
+    predicted_c = Fraction(sum(n * scaled_computation(K, r_, g) for n, r_, g in groups), D * K)
+    predicted_L = Fraction(
+        sum(n * scaled_communication(K, r_) * (M // g) for n, r_, g in groups), D * K * M
+    )
     if predicted_r != r:
         raise InternalConsistencyError(f"weighted storage {predicted_r} != target {r}")
     if route != "clamp" and predicted_c != c:

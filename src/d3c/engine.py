@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from random import Random
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .analytics import basic_communication, basic_computation
 from .bits import BitString
@@ -58,9 +58,9 @@ def generate_corpus(N: int, F: int, seed: int) -> Corpus:
         raise InvalidParameterError(f"need at least one file, got N={N}")
     if F < 8 or F % 8:
         raise InvalidParameterError(f"file size must be a positive multiple of 8 bits, got {F}")
-    rng = Random(seed)
-    nbytes = F // 8
-    return Corpus(tuple(rng.randbytes(nbytes) for _ in range(N)), F, seed)
+    # Random.randbytes(n) is getrandbits(8 n).to_bytes(n, "little"), minus a frame per file
+    getrandbits, nbytes = Random(seed).getrandbits, F // 8
+    return Corpus(tuple(getrandbits(F).to_bytes(nbytes, "little") for _ in range(N)), F, seed)
 
 
 @dataclass(frozen=True)
@@ -218,17 +218,21 @@ class _Node:
     """One node's record of a run: the gate to its placed files (a refused read
     raises and is not counted) and to the scheme's broadcast store, shared by
     every node (``get`` refuses the node its own signals and counts each lookup
-    that finds one), and its counts. File reads = map evaluations."""
+    that finds one), and its counts. File reads = map evaluations. ``placed``
+    holds a byte per corpus file id, 1 where it is stored; ``stored`` counts them."""
 
-    __slots__ = ("k", "files", "stored", "signals",
+    __slots__ = ("k", "files", "placed", "stored", "signals",
                  "file_reads", "signal_reads", "sent_signals", "sent_bits")
 
-    def __init__(self, k: int, corpus: Corpus, stored: set[int]):
-        self.k, self.files, self.stored, self.signals = k, corpus.files, stored, {}
+    def __init__(self, k: int, corpus: Corpus, stored: Iterable[int]):
+        self.k, self.files, self.signals, self.placed = k, corpus.files, {}, bytearray(corpus.N + 1)
+        for n in stored:
+            self.placed[n] = 1
+        self.stored = self.placed.count(1)
         self.file_reads = self.signal_reads = self.sent_signals = self.sent_bits = 0
 
     def read(self, file_id: int) -> bytes:
-        if file_id not in self.stored:
+        if not (0 < file_id < len(self.placed) and self.placed[file_id]):
             raise ExecutionError(
                 f"node {self.k} attempted to read file {file_id} outside its storage"
             )
@@ -367,7 +371,7 @@ def execute(
 
     with _oracle_beside(corpus, suite, K) as oracle_outputs:
         nodes = [
-            _Node(k, corpus, {n for scheme in schemes for n in scheme.storage[k]})
+            _Node(k, corpus, (n for scheme in schemes for n in scheme.storage[k]))
             for k in range(1, K + 1)
         ]
         overhead_bits = 0
@@ -434,7 +438,7 @@ def execute(
     all_sent = sum(node.sent_signals for node in nodes)
     all_sent_bits = sum(node.sent_bits for node in nodes)
     measured = LoadReport(
-        storage_space=Fraction(sum(len(node.stored) for node in nodes), N_total),
+        storage_space=Fraction(sum(node.stored for node in nodes), N_total),
         computation_load=Fraction(file_reads, N_total * K),
         communication_load=Fraction(all_sent_bits, N_total * K * T),
     )
@@ -443,7 +447,7 @@ def execute(
     per_node = tuple(
         PerNodeStats(
             node=node.k,
-            stored_files=len(node.stored),
+            stored_files=node.stored,
             computed_values=node.file_reads,
             sent_signals=node.sent_signals,
             sent_bits=node.sent_bits,

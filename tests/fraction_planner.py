@@ -1,0 +1,103 @@
+"""Reference planner: the Fraction-arithmetic router that the integer
+planner in ``d3c.composer`` replaced, kept verbatim (``_mix``, ``_point``,
+``_route``, ``_files_needed``) with the Fraction closed forms it was built
+on, so tests can check that both plan every target alike."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from d3c.combinatorics import group_divisor
+from d3c.composer import GroupSpec
+from d3c.errors import InvalidParameterError
+
+
+def basic_computation(K: int, r: int | Fraction, g: int | Fraction) -> Fraction:
+    """Computation load of a basic scheme: r/K + (1 - r/K) g."""
+    return Fraction(r, K) + (1 - Fraction(r, K)) * g
+
+
+def basic_communication(K: int, r: int | Fraction, g: int | Fraction) -> Fraction:
+    """Communication load of a basic scheme: (1/g)(1 - r/K)."""
+    return (1 - Fraction(r, K)) / g
+
+
+def implied_g(K: int, r: Fraction, c: Fraction) -> Fraction:
+    """The coding parameter whose computation load is c: the inverse of
+    basic_computation in g, (c - r/K)/(1 - r/K); needs r < K."""
+    return (c - Fraction(r, K)) / (1 - Fraction(r, K))
+
+
+def g_r(K: int, r: Fraction) -> Fraction:
+    """Saturation coding parameter: floor(r) plus the fractional correction
+    (r - floor(r)) * (K - ceil(r)) / (K - r); needs 1 <= r < K."""
+    lo = math.floor(r)
+    return lo + (r - lo) * (K - math.ceil(r)) / (K - r)
+
+
+def _mix(a: list[GroupSpec], b: list[GroupSpec], w: Fraction) -> list[GroupSpec]:
+    """1 - w of groups a plus w of groups b: duplicate (r, g) groups are
+    combined, zero weights dropped, first-seen order kept."""
+    acc: dict[tuple[int, int], Fraction] = {}
+    for weight, groups in ((1 - w, a), (w, b)):
+        for sp in groups:
+            acc[sp.r, sp.g] = acc.get((sp.r, sp.g), Fraction(0)) + weight * sp.fraction
+    return [GroupSpec(f, r, g) for (r, g), f in acc.items() if f]
+
+
+def _point(r: Fraction, x: int | Fraction) -> list[GroupSpec]:
+    """The groups of the curve point at coding parameter x: the storage
+    split (floor(r), x) / (ceil(r), x) at integer x, the saturation pair
+    (floor(r), floor(r)) / (ceil(r), ceil(r)) at fractional x = g_r."""
+    lo, alpha = math.floor(r), r - math.floor(r)
+    if x.denominator == 1:
+        pairs = ((1 - alpha, lo, int(x)), (alpha, lo + 1, int(x)))
+    else:
+        pairs = ((1 - alpha, lo, lo), (alpha, lo + 1, lo + 1))
+    return [GroupSpec(f, r_, g) for f, r_, g in pairs if f]
+
+
+def _route(K: int, r: Fraction, c: Fraction) -> tuple[str, list[GroupSpec]]:
+    """The route label and the groups of the plan for (r, c): the chord mix
+    of the two curve points around the implied coding parameter; beyond
+    saturation, the groups of the plan at c_star."""
+    if not 1 <= c <= r:
+        raise InvalidParameterError(f"need 1 <= c <= r, got c={c}, r={r}")
+    if not r < K:
+        raise InvalidParameterError(f"need r < K for planning, got r={r}, K={K}")
+    g, gr = implied_g(K, r, c), g_r(K, r)
+    clamp = g > gr
+    if clamp:
+        g = gr
+    base = math.floor(g)
+    if base == g:
+        route, groups = ("corner" if r.denominator == 1 else "e1"), _point(r, base)
+    else:
+        # below floor(r) the next corner; above it the saturation point
+        route, upper = ("e2", base + 1) if base < math.floor(r) else ("e3", gr)
+        groups = _mix(_point(r, base), _point(r, upper), (g - base) / (upper - base))
+    return ("clamp" if clamp else route), groups
+
+
+def _files_needed(K: int, groups: list[GroupSpec]) -> int:
+    """Smallest corpus size at which every group's file count is an integer
+    multiple of its scheme's divisor."""
+    need = 1
+    for sp in groups:
+        divisor = group_divisor(K, sp.r, sp.g)
+        p, q = sp.fraction.numerator, sp.fraction.denominator
+        need = math.lcm(need, q * divisor // math.gcd(divisor, p))
+    return need
+
+
+def reference_plan(K: int, r: Fraction, c: Fraction):
+    """(route, [(fraction, r, g), ...], minimal files, (predicted r, c, L))
+    for the target, as the Fraction planner made them."""
+    route, groups = _route(K, r, c)
+    loads = (
+        sum(sp.fraction * sp.r for sp in groups),
+        sum(sp.fraction * basic_computation(K, sp.r, sp.g) for sp in groups),
+        sum(sp.fraction * basic_communication(K, sp.r, sp.g) for sp in groups),
+    )
+    return route, [(sp.fraction, sp.r, sp.g) for sp in groups], _files_needed(K, groups), loads

@@ -49,6 +49,13 @@ def test_corpus_determinism_and_shape():
     assert generate_corpus(1, 8, 0).files[0] is not None
 
 
+@pytest.mark.parametrize("F", [8, 16, 24, 40, 64, 72])
+def test_corpus_bytes_are_those_of_randbytes(F):
+    for seed in (0, 1, 42, 2**40 + 3):
+        rng = Random(seed)
+        assert generate_corpus(9, F, seed).files == tuple(rng.randbytes(F // 8) for _ in range(9))
+
+
 def test_corpus_rejects_bad_sizes():
     with pytest.raises(InvalidParameterError):
         generate_corpus(0, 64, 1)
@@ -310,6 +317,18 @@ def test_out_of_placement_read_is_blocked_and_recorded():
     with pytest.raises(ExecutionError, match="node 1 attempted to read file 3"):
         node.read(3)
     assert node.file_reads == 1  # the refused read is not counted
+
+
+@pytest.mark.parametrize("file_id", [0, -1, 5])
+def test_a_read_outside_the_corpus_is_blocked_and_not_counted(file_id):
+    # -1 must not wrap to the last file, and N + 1 = 5 lies past the mask
+    corpus = generate_corpus(4, 8, 0)
+    node = _Node(1, corpus, [1, 2, 4, 4])
+    assert node.stored == 3  # a repeated id is stored once
+    with pytest.raises(ExecutionError, match=f"node 1 attempted to read file {file_id} "):
+        node.read(file_id)
+    assert node.read(4) == corpus.files[3]
+    assert node.file_reads == 1
 
 
 def test_trace_stream():

@@ -4,7 +4,12 @@ calls it uses (``map_fn``, ``build_signals``, ``run_shuffle``,
 and on verify_matrix, whose replay covers all 56 schemes of ``d3c verify
 --K 7``. The replay maps each node's values from the scheme's
 ``compute_own`` and ``compute_coded`` views, which ``execute`` never reads;
-that is why ``BasicScheme`` keeps them while the replay exists."""
+that is why ``BasicScheme`` keeps them while the replay exists.
+
+On plan_grid the gates tie every plan of its 9,520 targets (N, route,
+groups, predicted load) to the digest pinned in ``perfbench/pins.json``,
+so a planner change that moves any of them fails here, before the
+benchmark runs."""
 
 import json
 import subprocess
@@ -33,3 +38,7 @@ def test_coded_shuffle_trace_passes_every_gate():
 
 def test_verify_matrix_trace_passes_every_gate():
     _assert_trace_passes_every_gate("verify_matrix")
+
+
+def test_plan_grid_trace_passes_every_gate():
+    _assert_trace_passes_every_gate("plan_grid")
