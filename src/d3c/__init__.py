@@ -53,6 +53,7 @@ from .scheme import (
     SchemeParams,
     build_basic_scheme,
     build_cdc_scheme,
+    byte_iva_bits,
     default_iva_bits,
     make_params,
     measure_computation,

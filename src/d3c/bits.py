@@ -1,14 +1,14 @@
-"""Fixed-length bit strings with whole-bit slicing, XOR, and concatenation.
+"""Fixed-length bit strings: signal payloads and reduce outputs.
 
-Signal payloads and reduce outputs are sized in bits, not bytes (a payload
-may be e.g. 12 bits), so every one carries an explicit bit length. Bit 0 is
-the most significant bit; concatenation appends on the right.
+Both are sized in bits, not bytes (a payload may be e.g. 12 bits), so every
+one carries an explicit bit length. Bit 0 is the most significant bit. The
+exchange cuts and XORs plain ints (``shuffle``); a ``BitString`` only wraps
+the result, to compare it, print it or digest it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
@@ -31,30 +31,6 @@ class BitString:
         """Big-endian bytes; the final partial byte is padded with low zeros."""
         nbytes = (self.length + 7) // 8
         return (self.value << (8 * nbytes - self.length)).to_bytes(nbytes, "big")
-
-    def xor(self, other: "BitString") -> "BitString":
-        if self.length != other.length:
-            raise InvalidParameterError(
-                f"xor length mismatch: {self.length} vs {other.length}"
-            )
-        return BitString(self.value ^ other.value, self.length)
-
-    @classmethod
-    def join(cls, parts: Iterable["BitString"]) -> "BitString":
-        value, length = 0, 0
-        for p in parts:
-            value = (value << p.length) | p.value
-            length += p.length
-        return cls(value, length)
-
-    def slice(self, start: int, nbits: int) -> "BitString":
-        """The ``nbits`` bits beginning at bit position ``start``."""
-        if start < 0 or nbits < 0 or start + nbits > self.length:
-            raise InvalidParameterError(
-                f"slice [{start}, {start + nbits}) outside {self.length} bits"
-            )
-        shift = self.length - start - nbits
-        return BitString((self.value >> shift) & ((1 << nbits) - 1), nbits)
 
     def digest(self) -> str:
         """Short stable hex digest of (length, payload) for trace output."""

@@ -27,7 +27,7 @@ from .scheme import (
     SchemeParams,
     build_basic_scheme,
     build_cdc_scheme,
-    default_iva_bits,
+    byte_iva_bits,
     scheme_to_dict,
 )
 
@@ -259,29 +259,16 @@ def _check_digests(args, runs) -> None:
     _check_size(args, count, "512-bit digest blocks", DIGEST_BUDGET)
 
 
-def _default_T(r: int) -> int:
-    """default_iva_bits(r), refused when it has more decimal digits than the
-    interpreter converts to text; as 8 lcm(1..r) >= 2^(r+2), an r past that
-    is refused without computing the lcm."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    T = None if limit and r + 3 > (10**limit).bit_length() else default_iva_bits(r)
-    if T is None or limit and T >= 10**limit:
-        raise InvalidParameterError(
-            f"the default --T, 8 lcm(1..{r}), has more than {limit} digits; give --T"
-        )
-    return T
-
-
 def _basic_scheme(args, r: int, g: int | None) -> BasicScheme:
     """The coded scheme at integer storage r and coding parameter g (the cdc
-    baseline when g is None), --T by default default_iva_bits(r). The
-    parameters are checked before the default T is computed, with T = g,
-    which passes every check that the default (a multiple of g) passes."""
+    baseline when g is None), at --T, by default the smallest whole-byte T
+    its segments divide. The parameters are checked first with T = g, which
+    passes the segment check whatever the batch size."""
     g_or_r = r if g is None else g
     T = g_or_r if args.T is None else args.T
     params = SchemeParams(K=args.K, N=args.N, F=64, T=T, r=r, g=g_or_r)
     if args.T is None:
-        params = replace(params, T=_default_T(r))
+        params = replace(params, T=byte_iva_bits(g_or_r, params.eta))
     if g is None:
         return build_cdc_scheme(args.K, args.N, r, T=params.T)
     return build_basic_scheme(params)

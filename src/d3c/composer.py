@@ -33,6 +33,7 @@ from .analytics import (  # basic_computation, basic_communication: re-exported
 )
 from .combinatorics import group_divisor
 from .errors import DivisibilityError, InternalConsistencyError, InvalidParameterError
+from .scheme import byte_iva_bits
 
 
 @dataclass(frozen=True)
@@ -155,10 +156,9 @@ def plan_for_target(K: int, N: int, r: RationalLike, c: RationalLike) -> Composi
 
 def safe_iva_bits(plan: CompositePlan) -> int:
     """Smallest whole-byte value size meeting every group's segment
-    divisibility (g must divide batch_files * T)."""
-    need = 1
-    for sp in plan.groups:
-        eta = sp.file_count // group_divisor(plan.K, sp.r, sp.g)
-        need = math.lcm(need, sp.g // math.gcd(sp.g, eta * 8))
-    return 8 * need
+    divisibility: the lcm of each group's byte_iva_bits."""
+    return math.lcm(*(
+        byte_iva_bits(sp.g, sp.file_count // group_divisor(plan.K, sp.r, sp.g))
+        for sp in plan.groups
+    ))
 

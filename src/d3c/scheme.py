@@ -50,6 +50,12 @@ def default_iva_bits(r: int) -> int:
     return 8 * math.lcm(*range(1, r + 1))
 
 
+def byte_iva_bits(g: int, eta: int) -> int:
+    """Smallest whole-byte value size T whose blocks of eta values split into
+    g whole-bit segments, that is, with g dividing eta * T."""
+    return 8 * g // math.gcd(g, 8 * eta)
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Parameter tuple of one basic scheme instance.
@@ -78,8 +84,9 @@ class SchemeParams:
         if (eta * self.T) % self.g:
             raise InvalidParameterError(
                 f"segment divisibility violated: g={self.g} must divide "
-                f"eta*T = {eta}*{self.T}; choose T as a multiple of {self.g} "
-                f"(default_iva_bits(r) always works)"
+                f"eta*T = {eta}*{self.T}; choose T as a multiple of "
+                f"{self.g // math.gcd(self.g, eta)} (the smallest whole-byte T is "
+                f"{byte_iva_bits(self.g, eta)})"
             )
 
     @property

@@ -1,6 +1,7 @@
 """Command-line surface: flags, formats, file outputs, exit codes."""
 
 import io
+import itertools
 import json
 import math
 import re
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 
 from d3c import composer
 from d3c.cli import main
+from d3c.errors import InvalidParameterError
+from d3c.scheme import SchemeParams, default_iva_bits
 
 
 @pytest.fixture
@@ -369,15 +372,12 @@ def test_requests_over_budget_are_refused_from_counts(capsys, digit_limit):
     pairs = "(file, node) pairs"
     # within the pair budget, each of these digests far past its budget: a
     # wide T that every output block re-reads (22 s at 2^20 bits), a wide B
-    # of 195,313 blocks per output, the default T of r = 11 (221,760 bits,
-    # past a minute) and of r = 20 (1,862,340,480 bits), and verify --K 10
-    # (13 s)
+    # of 195,313 blocks per output, verify --K 10 (13 s), and 4,967 nodes
+    # that each map all 4,967 values of one file at the default T = 39,736
     small = ("--K", "3", "--N", "6", "--r", "2")
     blocks = "512-bit digest blocks"
     wide = "8" + "0" * 3000
     wide_count = f"at least 2^{_digest_blocks(3, 6, 2, int(wide)).bit_length() - 1}"
-    r_4967 = _digest_blocks(4967, 1, 4967, 8 * math.lcm(*range(1, 4968)))
-    r_4967 = f"at least 2^{r_4967.bit_length() - 1}"
     for argv, count, unit in (
         (("verify", "--K", "16"), 996904236, pairs),
         (("simulate", "--K", "10", "--N", "10000000", "--r", "2", "--g", "1"), 10**8, pairs),
@@ -385,20 +385,12 @@ def test_requests_over_budget_are_refused_from_counts(capsys, digit_limit):
         (("simulate", *small, "--g", "2", "--T", str(2**20)), 151130112, blocks),
         (("simulate", *small, "--g", "2", "--T", str(2**23)), 9664757760, blocks),
         (("simulate", *small, "--c", "4/3", "--B", "100000000"), 2343810, blocks),
-        (("simulate", "--K", "12", "--N", "132", "--r", "11", "--g", "1"), 603857184, blocks),
-        (
-            ("simulate", "--K", "21", "--N", "420", "--r", "20", "--g", "1"),
-            233387782044328464,
-            blocks,
-        ),
         (("verify", "--K", "10"), 6075192, blocks),
+        (("simulate", "--K", "4967", "--N", "1", "--r", "4967", "--g", "4967"), 1985945676, blocks),
         # counts with more digits than the interpreter converts to text print
-        # as the power of two at or below them: a T and a B of 3,001 digits,
-        # and the default T of r = 4967, the smallest K = r = g whose count
-        # is that long
+        # as the power of two at or below them: a T and a B of 3,001 digits
         (("simulate", *small, "--g", "2", "--T", wide, "--B", wide), wide_count, blocks),
         (("compare", *small, "--g", "2", "--T", wide, "--B", wide), wide_count, blocks),
-        (("simulate", "--K", "4967", "--N", "1", "--r", "4967", "--g", "4967"), r_4967, blocks),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -520,6 +512,58 @@ def test_plans_run_within_the_budget_at_their_own_value_size(capsys):
     code, out, err = run(capsys, "sweep", "--K", "12", "--r", "11", "--c", "39/19,3", "--execute")
     assert (code, err) == (0, "")
     assert [row[-1] for row in parse_csv(out)[1]] == ["true", "true"]
+    # so do basic schemes, each at T = 8 here; at 8 lcm(1..r) the first
+    # needed 603,857,184 blocks
+    for argv in (
+        ("simulate", "--K", "12", "--N", "132", "--r", "11", "--g", "1"),
+        ("simulate", "--K", "30", "--N", "870", "--r", "29", "--g", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)["verification"]["passed"] is True, argv
+        assert run(capsys, *argv, "--T", "8") == (code, out, err), argv
+    compare = ("compare", "--K", "12", "--N", "132", "--r", "11", "--g", "1,11", "--cdc")
+    code, out, err = run(capsys, *compare)
+    assert (code, err) == (0, "")
+    assert [row[-1] for row in parse_csv(out)[1]] == ["true"] * 3
+    assert run(capsys, *compare, "--T", "8") == (code, out, err)
+
+
+@st.composite
+def basic_requests(draw):
+    """K 2-8, every 1 <= g <= r <= K (g = r also as the cdc baseline), and N
+    one to six times the scheme's smallest file count."""
+    K = draw(st.integers(2, 8))
+    r = draw(st.integers(1, K))
+    g = draw(st.integers(1, r))
+    N = math.comb(K, r) * math.comb(r, g) * draw(st.integers(1, 6))
+    return K, r, g, N, g == r and draw(st.booleans())
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(basic_requests())
+@example((3, 2, 2, 6, True))
+@example((8, 4, 2, 2520, False))
+def test_the_default_T_is_the_smallest_whole_byte_T_accepted(request):
+    # the default T is the smallest multiple of 8 that SchemeParams accepts,
+    # and divides the library's default 8 lcm(1..r), so it is never larger
+    K, r, g, N, cdc = request
+    argv = ["inspect", "--K", str(K), "--N", str(N), "--r", str(r)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([*argv, "--cdc"] if cdc else [*argv, "--g", str(g)])
+    assert code == 0
+    T = json.loads(out.getvalue())["params"]["T"]
+
+    def accepted(T):
+        try:
+            SchemeParams(K=K, N=N, F=64, T=T, r=r, g=g)
+        except InvalidParameterError:
+            return False
+        return True
+
+    assert T == next(T for T in itertools.count(8, 8) if accepted(T))
+    assert default_iva_bits(r) % T == 0
 
 
 def test_readme_refusals_exit_at_once(capsys, digit_limit):
@@ -529,7 +573,7 @@ def test_readme_refusals_exit_at_once(capsys, digit_limit):
     paragraph = readme.split("\nExit codes:", 1)[1].split("\n\n", 1)[0].replace("\n", " ")
     commands = "tradeoff|simulate|compare|verify|sweep|inspect"
     spans = re.findall(rf"`((?:{commands}) --K [^`]*)`", paragraph)
-    assert len(spans) == 13
+    assert len(spans) == 12
     for span in spans:
         start = time.perf_counter()
         code, out, _ = run(capsys, *span.split())
@@ -707,8 +751,8 @@ def test_too_large_counts_are_usage_errors(capsys):
         assert err.startswith("d3c: error: C(") and "exceeds the 64-bit count range" in err
 
 
-def test_a_default_T_is_computed_after_the_cheap_checks(capsys, digit_limit):
-    # 8 lcm(1..99999) takes seconds; the file count is refused before it
+def test_a_default_T_is_computed_after_the_cheap_checks(capsys):
+    # the file count is refused from the parameters, before any scheme
     start = time.perf_counter()
     argv = ("inspect", "--K", "100000", "--N", "10", "--r", "99999", "--g", "1")
     code, out, err = run(capsys, *argv)
@@ -718,17 +762,6 @@ def test_a_default_T_is_computed_after_the_cheap_checks(capsys, digit_limit):
         "d3c: infeasible: file count 10 is not a multiple of C(100000,99999)*C(99999,1) = "
         "9999900000; smallest admissible count is 9999900000\n"
     )
-    # a default T too long to print is refused before the build: at r = 10^5
-    # from 8 lcm(1..r) >= 2^(r+2) alone, without the lcm
-    for r in ("10000", "100000"):
-        start = time.perf_counter()
-        code, out, err = run(capsys, "inspect", "--K", r, "--N", "1", "--r", r, "--g", r)
-        assert time.perf_counter() - start < 1, r
-        assert (code, out) == (1, ""), r
-        assert err == (
-            f"d3c: error: the default --T, 8 lcm(1..{r}), has more than {digit_limit} "
-            "digits; give --T\n"
-        )
 
 
 def test_inspect_at_K_equal_r_700_is_quick(capsys):

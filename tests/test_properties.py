@@ -12,6 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from random import Random
 
+from bitops import cut, join, xor
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -214,14 +215,14 @@ def bit_strings(draw, length=st.integers(0, 80)):
 @given(bit_strings(), st.data())
 def test_bit_string_round_trips(x, data):
     n = x.length
-    cut = data.draw(st.integers(0, n))
-    head, tail = x.slice(0, cut), x.slice(cut, n - cut)
-    assert BitString.join([head, tail]) == x
+    at = data.draw(st.integers(0, n))
+    head, tail = cut(x, 0, at), cut(x, at, n - at)
+    assert join([head, tail]) == x
     assert len(x.to_bytes()) == (n + 7) // 8
     assert int.from_bytes(x.to_bytes(), "big") >> (-n % 8) == x.value
     y = data.draw(bit_strings(st.just(n)))
-    assert x.xor(y).xor(y) == x
-    assert x.xor(y) == y.xor(x)
+    assert xor(xor(x, y), y) == x
+    assert xor(x, y) == xor(y, x)
 
 
 @st.composite
@@ -288,12 +289,12 @@ def test_signal_payloads_follow_the_paper_rule(case):
                 batch = BatchIndex(
                     tuple(x for x in group.i if x != i), tuple(x for x in group.j if x != i)
                 )
-                block = BitString.join(
+                block = join(
                     BitString(computed[sender][IvaId(i, n)], T) for n in scheme.batches[batch]
                 )
                 seg = block.length // g
-                piece = block.slice(batch.t.index(sender) * seg, seg)
-                acc = piece if acc is None else acc.xor(piece)
+                piece = cut(block, batch.t.index(sender) * seg, seg)
+                acc = piece if acc is None else xor(acc, piece)
             want.append((sender, group, acc))
     got = [(s.sender, s.group, s.payload) for s in build_signals(scheme, computed)]
     assert got == want

@@ -1,9 +1,13 @@
 """Scheme construction: placement, compute plans, and exact load counting."""
 
+import functools
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import d3c
 from d3c.combinatorics import binomial
 from d3c.errors import DivisibilityError, InvalidParameterError
 from d3c.scheme import (
@@ -12,6 +16,7 @@ from d3c.scheme import (
     SchemeParams,
     build_basic_scheme,
     build_cdc_scheme,
+    byte_iva_bits,
     default_iva_bits,
     make_params,
     measure_computation,
@@ -54,6 +59,28 @@ def test_default_iva_bits_covers_every_g():
     for r in range(1, 8):
         T = default_iva_bits(r)
         assert all(T % g == 0 for g in range(1, r + 1))
+
+
+def test_segment_error_names_the_smallest_whole_byte_T():
+    # g divides eta * T exactly when T is a multiple of g / gcd(g, eta); at
+    # K = r = g there is one batch, so eta = N
+    for K, N, T, step, smallest in ((4, 2, 7, 2, 8), (3, 1, 4, 3, 24), (6, 4, 7, 3, 24)):
+        message = f"choose T as a multiple of {step} (the smallest whole-byte T is {smallest})"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            SchemeParams(K=K, N=N, F=8, T=T, r=K, g=K)
+        assert byte_iva_bits(K, N) == smallest
+        SchemeParams(K=K, N=N, F=8, T=smallest, r=K, g=K)
+
+
+def test_readme_size_notes_name_real_functions():
+    """Each backticked ``name(`` of README's "Notes on sizes" paragraph is a
+    callable that resolves from the ``d3c`` package."""
+    readme = Path(__file__).parents[1].joinpath("README.md").read_text()
+    paragraph = readme.split("\nNotes on sizes:", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`([\w.]+)\(", paragraph)
+    assert names == ["byte_iva_bits", "composer.safe_iva_bits", "default_iva_bits"]
+    for name in names:
+        assert callable(functools.reduce(getattr, name.split("."), d3c)), name
 
 
 def test_golden_three_node_placement():

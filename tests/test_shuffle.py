@@ -9,6 +9,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
+from bitops import join
 
 from d3c.bits import BitString
 from d3c.combinatorics import BatchIndex, binomial, enum_pi
@@ -68,7 +69,7 @@ def test_segment_halving():
     assert scheme.batches[((1, 2), (1, 2))] == (1,)
     sent = payloads(scheme, sparse_stores(scheme, {IvaId(3, 1): 0xBEEF}))
     assert sent == {1: BitString(0xBE, 8), 2: BitString(0xEF, 8), 3: BitString(0, 8)}
-    assert BitString.join([sent[1], sent[2]]) == BitString(0xBEEF, 16)
+    assert join([sent[1], sent[2]]) == BitString(0xBEEF, 16)
 
 
 def test_segment_identity_split():
@@ -211,7 +212,7 @@ def test_decode_forwarding_when_g_is_one():
             tuple(x for x in s.group.i if x != receiver),
             tuple(x for x in s.group.j if x != receiver),
         )
-        block = BitString.join(
+        block = join(
             BitString(computed[s.sender][IvaId(receiver, n)], 8) for n in scheme.batches[batch]
         )
         assert s.payload == block
