@@ -37,7 +37,9 @@ class GroupIndex(NamedTuple):
 
     def requested_by(self, k: int) -> BatchIndex:
         """The batch (i minus k, j minus k) whose values member k of j needs."""
-        return BatchIndex(*(tuple(x for x in nodes if x != k) for nodes in self))
+        i, j = self
+        a, b = i.index(k), j.index(k)
+        return BatchIndex(i[:a] + i[a + 1 :], j[:b] + j[b + 1 :])
 
 
 def binomial(n: int, k: int) -> int:

@@ -16,7 +16,6 @@ fields, so identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import threading
 from contextlib import contextmanager
@@ -89,6 +88,8 @@ def _keyed_digest(domain: bytes, nbits: int, prefix: bytes = b"") -> Callable[[b
     the stream is blocks 0, 1, ... joined. Each block's keyed state is built
     here, once, and absorbs its key block and the prefix; every call feeds
     the payload to a copy of each, as a fresh keyed ``blake2b`` would get it.
+    Up to 512 bits the stream is one block, and a call digests one copy and
+    shifts it, with no list and no join.
     """
     blocks = -(-nbits // 512)
     states = [
@@ -97,6 +98,16 @@ def _keyed_digest(domain: bytes, nbits: int, prefix: bytes = b"") -> Callable[[b
     ]
     cut = blocks * 512 - nbits
     from_bytes = int.from_bytes  # bound once: a lookup per call is a measurable share
+
+    if blocks == 1:
+        copy = states[0].copy
+
+        def one_block(payload: bytes) -> int:
+            block = copy()
+            block.update(payload)
+            return from_bytes(block.digest(), "big") >> cut
+
+        return one_block
 
     def digest(payload: bytes) -> int:
         stream = []
@@ -218,8 +229,10 @@ class _Node:
     """One node's record of a run: the gate to its placed files (a refused read
     raises and is not counted) and to the scheme's broadcast store, shared by
     every node (``get`` refuses the node its own signals and counts each lookup
-    that finds one), and its counts. File reads = map evaluations. ``placed``
-    holds a byte per corpus file id, 1 where it is stored; ``stored`` counts them."""
+    that finds one), and its counts. ``read`` gates a file once for the
+    ``uses`` map evaluations it feeds and counts each, so file reads = map
+    evaluations. ``placed`` holds a byte per corpus file id, 1 where it is
+    stored; ``stored`` counts them."""
 
     __slots__ = ("k", "files", "placed", "stored", "signals",
                  "file_reads", "signal_reads", "sent_signals", "sent_bits")
@@ -231,12 +244,12 @@ class _Node:
         self.stored = self.placed.count(1)
         self.file_reads = self.signal_reads = self.sent_signals = self.sent_bits = 0
 
-    def read(self, file_id: int) -> bytes:
+    def read(self, file_id: int, uses: int = 1) -> bytes:
         if not (0 < file_id < len(self.placed) and self.placed[file_id]):
             raise ExecutionError(
                 f"node {self.k} attempted to read file {file_id} outside its storage"
             )
-        self.file_reads += 1
+        self.file_reads += uses
         return self.files[file_id - 1]
 
     def get(self, key, default=None):
@@ -339,7 +352,7 @@ def _signal_overhead_bits(K: int, group_i: int, group_j: int) -> int:
 
     Excluded from the communication load; reported for transparency.
     """
-    per_id = max(1, math.ceil(math.log2(K)))
+    per_id = max(1, (K - 1).bit_length())  # ceil(log2 K), exactly
     return per_id * (1 + group_i + group_j)
 
 
@@ -385,10 +398,11 @@ def execute(
             computed: dict[int, dict[IvaId, int]] = {node.k: {} for node in nodes}
             for batch, files in scheme.batches.items():
                 for k, functions in scheme.mappers(batch):
-                    store, read = computed[k], nodes[k - 1].read
-                    for q in functions:
-                        for n in files:
-                            store[q, n] = map_fn(q, n, read(n))
+                    store, read, uses = computed[k], nodes[k - 1].read, len(functions)
+                    for n in files:
+                        data = read(n, uses)
+                        for q in functions:
+                            store[q, n] = map_fn(q, n, data)
 
             signals = build_signals(scheme, computed)  # in the order the trace digests pin
             for signal in signals:

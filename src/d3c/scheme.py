@@ -163,13 +163,13 @@ class BasicScheme:
         p = self.params
         if p.r >= p.K:
             return {}
-        table = {}
+        batches, table = self.batches, {}
         for group in enum_pi(p.K, p.r, p.g):
-            requested = [group.requested_by(member) for member in group.j]
-            table[group] = tuple(
-                (member, self.batches[batch], batch.t)
-                for member, batch in zip(group.j, requested)
-            )
+            rows = []
+            for member in group.j:
+                batch = group.requested_by(member)
+                rows.append((member, batches[batch], batch.t))
+            table[group] = tuple(rows)
         return table
 
     @cached_property

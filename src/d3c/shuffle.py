@@ -9,11 +9,12 @@ One rule serves both ends. A receiver decodes by cancelling the known terms:
 it XORs the signal with the same segments the sender XORed, all but its own,
 and what is left is its missing segment. Both ends read who requests which
 batch, and who owns its segments, from the scheme's coding table
-(``BasicScheme.coding``). A block is an int, its values joined in file
-order; ``_blocks`` is the only block builder, ``_segment`` the only cut and
-``_xor_known`` the only XOR over the known terms. An intermediate value is
-an int below 2**T, from the computed stores through the decoded result;
-``BitString`` wraps only each signal payload, once.
+(``BasicScheme.coding``). A block is its values joined in file order, but
+no whole block is built: ``_segment``, the only cut, joins just the values
+one segment spans, and ``_xor_known`` is the only XOR over the known terms.
+An intermediate value is an int below 2**T, from the computed stores
+through the decoded result; ``BitString`` wraps only each signal payload,
+once.
 
 Only payload bits count toward the communication load; simulation metadata
 is tracked separately by the engine.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Callable, Mapping
+from typing import IO, Mapping
 
 from .bits import BitString
 from .combinatorics import GroupIndex
@@ -31,7 +32,6 @@ from .errors import DecodeError, InternalConsistencyError
 from .scheme import BasicScheme, CodingRow, IvaId
 
 IvaStore = Mapping[IvaId, int]
-Block = Callable[[int, tuple[int, ...]], int]
 
 
 @dataclass(frozen=True)
@@ -47,37 +47,29 @@ class MulticastSignal:
         return self.payload.length
 
 
-def _blocks(store: IvaStore, T: int) -> Block:
-    """Block builder over one node's store for one group: ``block(i, files)``
-    joins i's values for ``files`` in file order, once per member i; raises
-    KeyError naming the first IvaId missing from ``store``."""
-    built: dict[int, int] = {}
-
-    def block(i: int, files: tuple[int, ...]) -> int:
-        v = built.get(i)
-        if v is None:
-            v = 0
-            try:
-                for n in files:
-                    v = (v << T) | store[i, n]
-            except KeyError:
-                raise KeyError(IvaId(i, n)) from None
-            built[i] = v
-        return v
-
-    return block
-
-
-def _segment(block: int, owners: tuple[int, ...], owner: int, seg_bits: int) -> int:
-    """The ``owner`` segment of a block: owners hold its g segments in
-    ascending order from the most significant bits."""
-    shift = (len(owners) - 1 - owners.index(owner)) * seg_bits
-    return (block >> shift) & ((1 << seg_bits) - 1)
+def _segment(store: IvaStore, T: int, row: CodingRow, owner: int, seg_bits: int) -> int:
+    """The ``owner`` segment of the block that ``row`` requests, cut from the
+    values it spans alone. The block is the row member's values for its
+    files joined in file order, and its owners hold its g segments in
+    ascending order from the most significant bits. Raises KeyError naming
+    the first spanned IvaId missing from ``store``."""
+    i, files, owners = row
+    start = owners.index(owner) * seg_bits
+    end = start + seg_bits
+    last = -(-end // T)
+    v = 0
+    try:
+        for n in files[start // T : last]:
+            v = (v << T) | store[i, n]
+    except KeyError:
+        raise KeyError(IvaId(i, n)) from None
+    return (v >> (last * T - end)) & ((1 << seg_bits) - 1)
 
 
 def _xor_known(
     acc: int,
-    block: Block,
+    store: IvaStore,
+    T: int,
     members: tuple[CodingRow, ...],
     owner: int,
     seg_bits: int,
@@ -85,9 +77,9 @@ def _xor_known(
 ) -> int:
     """``acc`` XORed with the ``owner`` segment of the block requested by each
     member of the group other than ``owner`` and ``skip``."""
-    for i, files, owners in members:
-        if i != owner and i != skip:
-            acc ^= _segment(block(i, files), owners, owner, seg_bits)
+    for row in members:
+        if row[0] != owner and row[0] != skip:
+            acc ^= _segment(store, T, row, owner, seg_bits)
     return acc
 
 
@@ -104,7 +96,7 @@ def build_signals(scheme: BasicScheme, computed: Mapping[int, IvaStore]) -> list
     for group, members in scheme.coding.items():
         for sender in group.j:
             try:
-                payload = _xor_known(0, _blocks(computed[sender], T), members, sender, seg_bits)
+                payload = _xor_known(0, computed[sender], T, members, sender, seg_bits)
             except KeyError as missing:
                 raise InternalConsistencyError(
                     f"node {sender} lacks operand {missing} for group {group}"
@@ -143,9 +135,9 @@ def decode_node(
     Locally computed values cover stored batches. Each missing batch is k's
     row of a group whose j-set holds k (``member_groups``). For each
     coding-set member j, the j-owned segment of k's block is j's group
-    signal with the known terms cancelled (``_xor_known`` skipping k), each
-    known block built once; segments reassemble in ascending owner order
-    into the block, which splits back into values.
+    signal with the known terms cancelled (``_xor_known`` skipping k), which
+    reads only the values its segments span; segments reassemble in
+    ascending owner order into the block, which splits back into values.
     """
     p = scheme.params
     T, seg_bits = p.T, p.eta * p.T // p.g
@@ -159,7 +151,6 @@ def decode_node(
     for group in scheme.member_groups[k]:
         members = scheme.coding[group]
         _, files, owners = members[group.j.index(k)]
-        block = _blocks(computed_k, T)
         recovered = 0
         for j in owners:
             signal = delivered_k.get((j, group))
@@ -177,7 +168,7 @@ def decode_node(
                     owner=j,
                 )
             try:
-                seg = _xor_known(signal.payload.value, block, members, j, seg_bits, skip=k)
+                seg = _xor_known(signal.payload.value, computed_k, T, members, j, seg_bits, skip=k)
             except KeyError as missing:
                 raise DecodeError(
                     f"node {k} lacks local operand {missing} for group {group}",

@@ -319,6 +319,18 @@ def test_out_of_placement_read_is_blocked_and_recorded():
     assert node.file_reads == 1  # the refused read is not counted
 
 
+def test_one_admitted_read_counts_every_use_and_a_refused_one_none():
+    corpus = generate_corpus(4, 8, 0)
+    node = _Node(1, corpus, {1, 2})
+    assert node.read(2, 7) == corpus.files[1]
+    assert node.file_reads == 7
+    with pytest.raises(ExecutionError, match="node 1 attempted to read file 3"):
+        node.read(3, 5)
+    assert node.file_reads == 7
+    assert node.read(1) == corpus.files[0]
+    assert node.file_reads == 8
+
+
 @pytest.mark.parametrize("file_id", [0, -1, 5])
 def test_a_read_outside_the_corpus_is_blocked_and_not_counted(file_id):
     # -1 must not wrap to the last file, and N + 1 = 5 lies past the mask

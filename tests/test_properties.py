@@ -227,12 +227,12 @@ def test_bit_string_round_trips(x, data):
 
 @st.composite
 def exchanges(draw):
-    """(K, r, g, eta, T, seed): K <= 5, every 1 <= g <= r <= K, eta <= 3 and
+    """(K, r, g, eta, T, seed): K <= 5, every 1 <= g <= r <= K, eta <= 6 and
     T a multiple of g / gcd(g, eta), so g divides eta * T."""
     K = draw(st.integers(2, 5))
     r = draw(st.integers(1, K))
     g = draw(st.integers(1, r))
-    eta = draw(st.integers(1, 3))
+    eta = draw(st.integers(1, 6))
     step = g // math.gcd(g, eta)
     T = step * draw(st.integers(1, 24 // step))
     return K, r, g, eta, T, draw(st.integers(0, 2**32))
@@ -261,6 +261,7 @@ def _random_exchange(case):
 @given(exchanges())
 @example((4, 3, 3, 2, 3, 0))  # 2-bit segments of 3-bit values straddle value edges
 @example((5, 4, 4, 3, 4, 1))  # 3-bit segments of 4-bit values
+@example((5, 3, 3, 5, 24, 2))  # 40-bit segments start and end inside 24-bit values
 def test_decode_recovers_every_value(case):
     scheme, computed, table = _random_exchange(case)
     delivered, _ = run_shuffle(scheme, computed)
@@ -274,6 +275,7 @@ def test_decode_recovers_every_value(case):
 @example((4, 2, 1, 2, 5, 3))  # g = 1: each payload is one whole block
 @example((4, 3, 3, 2, 3, 0))  # 2-bit cuts of 3-bit values straddle value edges
 @example((5, 3, 2, 3, 2, 7))  # 3-bit cuts of 2-bit values
+@example((5, 3, 3, 5, 24, 2))  # 40-bit cuts start and end inside 24-bit values
 def test_signal_payloads_follow_the_paper_rule(case):
     # reference: join the block member i requests, take the sender's 1/g of
     # it, and XOR over the other members of j

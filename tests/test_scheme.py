@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import d3c
-from d3c.combinatorics import binomial
+from d3c.combinatorics import BatchIndex, binomial, enum_pi
 from d3c.errors import DivisibilityError, InvalidParameterError
 from d3c.scheme import (
     BasicScheme,
@@ -229,6 +229,25 @@ def test_cdc_dominates_coded_computation():
         c_cdc = Fraction(r)
         assert c_cdc >= c_coded
         assert (c_cdc == c_coded) == (r == 1 and g == 1)
+
+
+def test_coding_table_keeps_the_filtered_group_rule():
+    # reference: each member's batch is the group with the member filtered
+    # out of i and of j, as a generator over each set
+    for K in range(2, 8):
+        for r in range(1, K):
+            for g in range(1, r + 1):
+                scheme = minimal_scheme(K, r, g, T=g)
+                want = {}
+                for group in enum_pi(K, r, g):
+                    rows = []
+                    for member in group.j:
+                        batch = BatchIndex(
+                            *(tuple(x for x in nodes if x != member) for nodes in group)
+                        )
+                        rows.append((member, scheme.batches[batch], batch.t))
+                    want[group] = tuple(rows)
+                assert list(scheme.coding.items()) == list(want.items()), (K, r, g)
 
 
 def test_serializing_a_scheme_builds_no_coding_table():

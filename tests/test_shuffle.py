@@ -5,6 +5,7 @@ value table and compares the decoded results bit for bit; it never touches
 the exchange path it is checking.
 """
 
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -264,6 +265,25 @@ def test_missing_local_operand_is_a_decode_error():
     del computed[1][IvaId(1, 1)]
     with pytest.raises(DecodeError, match="node 1 missing own value for file 1"):
         decode_node(1, scheme, computed[1], delivered[1])
+
+
+def test_decode_reads_only_the_values_its_segments_span():
+    # 40-bit segments of 24-bit values: in group (1 2 3 4), node 1 cancels
+    # owner 2's and owner 3's segments (bits 40-120) of the block node 4
+    # requests from batch (1 2 3, 1 2 3), never its own (bits 0-40)
+    scheme = minimal_scheme(5, 3, 3, eta=5, T=24)
+    files = scheme.batches[((1, 2, 3), (1, 2, 3))]
+    computed, table = computed_stores(scheme)
+    delivered, _ = run_shuffle(scheme, computed)
+    del computed[1][IvaId(4, files[0])]  # bits 0-24: spanned by no needed segment
+    values = decode_node(1, scheme, computed[1], delivered[1])
+    assert values == {n: table[IvaId(1, n)] for n in range(1, scheme.params.N + 1)}
+    computed, _ = computed_stores(scheme)
+    del computed[1][IvaId(4, files[1])]  # bits 24-48: owner 2's segment starts at bit 40
+    with pytest.raises(DecodeError, match=re.escape(f"operand {IvaId(4, files[1])} ")) as err:
+        decode_node(1, scheme, computed[1], delivered[1])
+    assert err.value.batch == ((2, 3, 4), (2, 3, 4))
+    assert err.value.owner == 2
 
 
 def test_missing_operand_is_an_internal_error():
