@@ -54,7 +54,6 @@ from .scheme import (
     build_basic_scheme,
     build_cdc_scheme,
     byte_iva_bits,
-    default_iva_bits,
     make_params,
     measure_computation,
     measure_storage,

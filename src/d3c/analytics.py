@@ -29,7 +29,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 from .errors import InternalConsistencyError, InvalidParameterError
 
@@ -37,14 +36,14 @@ RationalLike = int | float | str | Fraction
 
 
 def to_fraction(x: RationalLike) -> Fraction:
-    """Exact conversion; floats go through their shortest decimal form."""
+    """Exact conversion; floats go through their shortest decimal form. A
+    value that names no finite rational is an InvalidParameterError."""
     if type(x) is Fraction:  # immutable, so it is its own conversion
         return x
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+    try:
+        return Fraction(str(x) if isinstance(x, float) else x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InvalidParameterError(f"not a finite rational number: {x!r}") from None
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,10 +23,9 @@ from .errors import D3CError, DivisibilityError, InvalidParameterError
 from .scheme import (
     BasicScheme,
     LoadReport,
-    SchemeParams,
     build_basic_scheme,
     build_cdc_scheme,
-    byte_iva_bits,
+    make_params,
     scheme_to_dict,
 )
 
@@ -261,24 +259,17 @@ def _check_digests(args, runs) -> None:
 
 def _basic_scheme(args, r: int, g: int | None) -> BasicScheme:
     """The coded scheme at integer storage r and coding parameter g (the cdc
-    baseline when g is None), at --T, by default the smallest whole-byte T
-    its segments divide. The parameters are checked first with T = g, which
-    passes the segment check whatever the batch size."""
-    g_or_r = r if g is None else g
-    T = g_or_r if args.T is None else args.T
-    params = SchemeParams(K=args.K, N=args.N, F=64, T=T, r=r, g=g_or_r)
-    if args.T is None:
-        params = replace(params, T=byte_iva_bits(g_or_r, params.eta))
+    baseline when g is None), at --T or make_params' default T."""
     if g is None:
-        return build_cdc_scheme(args.K, args.N, r, T=params.T)
-    return build_basic_scheme(params)
+        return build_cdc_scheme(args.K, args.N, r, T=args.T)
+    return build_basic_scheme(make_params(args.K, args.N, r, g, T=args.T))
 
 
-def _run(plan, N: int, F: int, T: int, seed: int, B: int | None = None):
-    """Execute plan on the seeded corpus of N files of F bits, with T-bit
+def _run(plan, N: int, T: int, seed: int, B: int | None = None):
+    """Execute plan on the seeded corpus of N files of 64 bits, with T-bit
     values and B-bit outputs; the report, and whether decoding verified and
     every measured load equals its prediction."""
-    report = engine.execute(plan, engine.generate_corpus(N, F, seed), engine.default_suite(T, B))
+    report = engine.execute(plan, engine.generate_corpus(N, 64, seed), engine.default_suite(T, B))
     return report, report.verification_passed and report.measured == LoadReport(**report.predicted)
 
 
@@ -305,7 +296,7 @@ def _resolve_simulate_plan(args):
 def _cmd_simulate(args) -> int:
     plan, T = _resolve_simulate_plan(args)
     _check_digests(args, [(args.K, args.N, args.r, T)])
-    report, passed = _run(plan, args.N, 64, T, args.seed, args.B)
+    report, passed = _run(plan, args.N, T, args.seed, args.B)
     _write_json(args, report.to_dict())
     return EXIT_OK if passed else EXIT_VERIFICATION
 
@@ -321,7 +312,7 @@ def _cmd_compare(args) -> int:
     rows = []
     all_ok = True
     for g, scheme in zip(gs, schemes):
-        report, ok = _run(scheme, args.N, 64, scheme.params.T, args.seed, args.B)
+        report, ok = _run(scheme, args.N, scheme.params.T, args.seed, args.B)
         measured, predicted = report.measured, report.predicted
         rows.append([
             f"cdc-r{args.r}" if g is None else f"d3c-r{args.r}-g{g}",
@@ -349,18 +340,19 @@ def _cmd_verify(args) -> int:
     if args.K < 2:
         raise InvalidParameterError("need --K >= 2")
     _check_size(args, sum(N * K for K, _, _, N in _verify_grid(args.K)))
-    _check_digests(args, [(K, N, r, 4 * g) for K, r, g, N in _verify_grid(args.K)])
+    grid = [make_params(K, N, r, g) for K, r, g, N in _verify_grid(args.K)]
+    _check_digests(args, [(p.K, p.N, p.r, p.T) for p in grid])
     rows = []
     all_ok = True
-    for K, r, g, N in _verify_grid(args.K):
-        scheme = build_basic_scheme(SchemeParams(K=K, N=N, F=16, T=4 * g, r=r, g=g))
-        report, ok = _run(scheme, N, 16, 4 * g, args.seed)
+    for p in grid:
+        report, ok = _run(build_basic_scheme(p), p.N, p.T, args.seed)
         measured, predicted = report.measured, report.predicted
         c_ok = measured.computation_load == predicted["computation_load"]
         l_ok = measured.communication_load == predicted["communication_load"]
         all_ok &= ok
         # flags as "true"/"false" strings, which the JSON form has always printed
-        rows.append([K, r, g, N, *map(_csv_cell, (c_ok, l_ok, report.verification_passed, ok))])
+        flags = (c_ok, l_ok, report.verification_passed, ok)
+        rows.append([p.K, p.r, p.g, p.N, *map(_csv_cell, flags)])
     header = ["K", "r", "g", "N", "computation_ok", "communication_ok", "decode_ok", "pass"]
     _write_table(args, header, rows)
     return EXIT_OK if all_ok else EXIT_VERIFICATION
@@ -405,7 +397,7 @@ def _cmd_sweep(args) -> int:
         measured = ""
         verified = ""
         if plan:
-            report, ok = _run(plan, plan.N, 64, T, seed)
+            report, ok = _run(plan, plan.N, T, seed)
             measured = report.measured.communication_load
             verified = report.verification_passed
             all_ok &= ok and measured == predicted

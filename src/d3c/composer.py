@@ -27,9 +27,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytics import (  # basic_computation, basic_communication: re-exported
-    RationalLike, basic_communication, basic_computation, g_r_terms, implied_g_terms,
-    scaled_communication, scaled_computation, to_fraction,
+from .analytics import (
+    RationalLike, g_r_terms, implied_g_terms, scaled_communication, scaled_computation,
+    to_fraction,
 )
 from .combinatorics import group_divisor
 from .errors import DivisibilityError, InternalConsistencyError, InvalidParameterError

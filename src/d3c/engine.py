@@ -26,7 +26,8 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .analytics import basic_communication, basic_computation
 from .bits import BitString
-from .composer import CompositePlan
+from .combinatorics import group_divisor
+from .composer import CompositePlan, safe_iva_bits
 from .errors import ExecutionError, InvalidParameterError
 from .scheme import (
     BasicScheme,
@@ -329,6 +330,12 @@ def _bind(plan: BasicScheme | CompositePlan, F: int, T: int) -> tuple[dict, list
     }
     schemes = []
     for sp in plan.groups:
+        eta = sp.file_count // group_divisor(plan.K, sp.r, sp.g)
+        if eta * T % sp.g:  # named here with the T that fits every group
+            raise InvalidParameterError(
+                f"segment divisibility violated: g={sp.g} must divide eta*T = {eta}*{T}; "
+                f"the smallest whole-byte T for this plan is {safe_iva_bits(plan)}"
+            )
         params = SchemeParams(K=plan.K, N=sp.file_count, F=F, T=T, r=sp.r, g=sp.g)
         schemes.append(BasicScheme(params, _placement(params, sp.first_file)))
     return summary, schemes

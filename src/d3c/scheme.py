@@ -39,17 +39,6 @@ class IvaId(NamedTuple):
 CodingRow = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
-def default_iva_bits(r: int) -> int:
-    """Default intermediate-value size: 8 * lcm(1..r) bits.
-
-    Guarantees every g <= r splits blocks into whole-bit segments for any
-    batch size, so the divisibility precondition never bites by default.
-    """
-    if r < 1:
-        raise InvalidParameterError(f"need r >= 1, got {r}")
-    return 8 * math.lcm(*range(1, r + 1))
-
-
 def byte_iva_bits(g: int, eta: int) -> int:
     """Smallest whole-byte value size T whose blocks of eta values split into
     g whole-bit segments, that is, with g dividing eta * T."""
@@ -98,9 +87,12 @@ class SchemeParams:
 def make_params(
     K: int, N: int, r: int, g: int, *, F: int = 64, T: int | None = None
 ) -> SchemeParams:
-    """Convenience constructor filling in safe F and T defaults."""
+    """The parameters of one basic scheme, T by default the smallest
+    whole-byte value size its segments divide, byte_iva_bits(g, eta). The
+    other parameters are checked first with T = g, which passes the segment
+    check whatever the batch size."""
     if T is None:
-        T = default_iva_bits(r)
+        T = byte_iva_bits(g, SchemeParams(K=K, N=N, F=F, T=g, r=r, g=g).eta)
     return SchemeParams(K=K, N=N, F=F, T=T, r=r, g=g)
 
 

@@ -39,6 +39,23 @@ def test_to_fraction_accepts_common_forms():
     assert to_fraction(0.1) == Fraction(1, 10)  # decimal reading, not binary
 
 
+# each call passes the malformed value as one rational argument
+RATIONAL_CALLS = {
+    "build_curve": lambda x: build_curve(10, x),
+    "query_load": lambda x: query_load(build_curve(10, "9/2"), x),
+    "c_star": lambda x: c_star(10, x),
+    "minimal_files": lambda x: minimal_files(4, "5/2", x),
+    "plan_for_target": lambda x: plan_for_target(4, 12, x, 2),
+}
+
+
+@pytest.mark.parametrize("value", ["1/0", float("nan"), float("inf"), "abc", None])
+@pytest.mark.parametrize("call", sorted(RATIONAL_CALLS))
+def test_malformed_rationals_are_invalid_parameters(call, value):
+    with pytest.raises(InvalidParameterError, match="not a finite rational number"):
+        RATIONAL_CALLS[call](value)
+
+
 def test_corner_examples():
     first = corner_load(10, "4.5", 1)
     assert (first.c, first.L) == (1, Fraction(11, 20))

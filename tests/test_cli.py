@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from d3c import composer
 from d3c.cli import main
 from d3c.errors import InvalidParameterError
-from d3c.scheme import SchemeParams, default_iva_bits
+from d3c.scheme import SchemeParams, build_cdc_scheme, make_params
 
 
 @pytest.fixture
@@ -385,7 +385,7 @@ def test_requests_over_budget_are_refused_from_counts(capsys, digit_limit):
         (("simulate", *small, "--g", "2", "--T", str(2**20)), 151130112, blocks),
         (("simulate", *small, "--g", "2", "--T", str(2**23)), 9664757760, blocks),
         (("simulate", *small, "--c", "4/3", "--B", "100000000"), 2343810, blocks),
-        (("verify", "--K", "10"), 6075192, blocks),
+        (("verify", "--K", "10"), 6083408, blocks),
         (("simulate", "--K", "4967", "--N", "1", "--r", "4967", "--g", "4967"), 1985945676, blocks),
         # counts with more digits than the interpreter converts to text print
         # as the power of two at or below them: a T and a B of 3,001 digits
@@ -445,11 +445,13 @@ def test_digest_budget_refuses_only_above_it(capsys, monkeypatch):
     import d3c.cli
 
     small = ("--K", "3", "--N", "6", "--r", "2", "--T", "8")
+    # verify counts each scheme at its own default T
     verify = sum(
-        _digest_blocks(K, math.comb(K, r) * math.comb(r, g), r, 4 * g)
+        _digest_blocks(K, p.N, r, p.T)
         for K in (2, 3)
         for r in range(1, K)
         for g in range(1, r + 1)
+        for p in [make_params(K, math.comb(K, r) * math.comb(r, g), r, g)]
     )
     # a composite plan is counted at the T it runs with, its own default
     # safe_iva_bits(plan): 8 for each plan here
@@ -501,6 +503,20 @@ def test_a_refused_plan_names_the_blocks_of_its_own_value_size(target):
     assert needs in err.getvalue()
 
 
+def test_a_plans_T_refusal_names_the_T_of_the_whole_plan(capsys):
+    # the g = 2 group takes T = 8 and the g = 3 group T = 24, so both
+    # refusals name the plan's safe_iva_bits, 24, not one group's
+    simulate = ("simulate", "--K", "5", "--N", "40", "--r", "9/4", "--c", "63/38")
+    assert composer.safe_iva_bits(composer.plan_for_target(5, 40, "9/4", "63/38")) == 24
+    for T in ("1", "8"):
+        code, out, err = run(capsys, *simulate, "--T", T)
+        assert (code, out) == (1, ""), T
+        assert err.endswith("the smallest whole-byte T for this plan is 24\n"), err
+    code, out, err = run(capsys, *simulate, "--T", "24")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verification"]["passed"] is True
+
+
 def test_plans_run_within_the_budget_at_their_own_value_size(capsys):
     # each plan here runs at T = 88; counted at 8 lcm(1..11) = 221,760 bits
     # instead, the two needed 54,913,152 and 109,826,304 blocks
@@ -545,8 +561,9 @@ def basic_requests(draw):
 @example((3, 2, 2, 6, True))
 @example((8, 4, 2, 2520, False))
 def test_the_default_T_is_the_smallest_whole_byte_T_accepted(request):
-    # the default T is the smallest multiple of 8 that SchemeParams accepts,
-    # and divides the library's default 8 lcm(1..r), so it is never larger
+    # the CLI's and the library's default T is the smallest multiple of 8
+    # that SchemeParams accepts, and divides 8 lcm(1..r), which works for
+    # every g and batch size, so it is never larger
     K, r, g, N, cdc = request
     argv = ["inspect", "--K", str(K), "--N", str(N), "--r", str(r)]
     out = io.StringIO()
@@ -554,6 +571,8 @@ def test_the_default_T_is_the_smallest_whole_byte_T_accepted(request):
         code = main([*argv, "--cdc"] if cdc else [*argv, "--g", str(g)])
     assert code == 0
     T = json.loads(out.getvalue())["params"]["T"]
+    library = build_cdc_scheme(K, N, r).params if cdc else make_params(K, N, r, g)
+    assert library.T == T
 
     def accepted(T):
         try:
@@ -563,7 +582,7 @@ def test_the_default_T_is_the_smallest_whole_byte_T_accepted(request):
         return True
 
     assert T == next(T for T in itertools.count(8, 8) if accepted(T))
-    assert default_iva_bits(r) % T == 0
+    assert 8 * math.lcm(*range(1, r + 1)) % T == 0
 
 
 def test_readme_refusals_exit_at_once(capsys, digit_limit):

@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from d3c.analytics import build_curve, c_star, g_r, query_load
-from d3c.composer import (
+from d3c.analytics import (
     basic_communication,
     basic_computation,
-    group_divisor,
-    minimal_files,
-    plan_for_target,
-    safe_iva_bits,
+    build_curve,
+    c_star,
+    g_r,
+    query_load,
 )
+from d3c.composer import group_divisor, minimal_files, plan_for_target, safe_iva_bits
 from d3c.errors import DivisibilityError, InvalidParameterError
 
 

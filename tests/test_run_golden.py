@@ -89,6 +89,15 @@ def test_every_run_has_a_digest():
     assert sorted(json.loads(DIGESTS.read_text())) == RUNS
 
 
+def test_default_runs_resolve_to_the_smallest_whole_byte_T():
+    # byte_iva_bits(g, eta) at eta = 2 in each: g = 1 and g = 2 take 8 bits, g = 3 takes 24
+    assert {name: _plan(name)[2] for name in ("d3c-g1", "d3c-g-equals-r", "cdc")} == {
+        "d3c-g1": 8,
+        "d3c-g-equals-r": 24,
+        "cdc": 8,
+    }
+
+
 if __name__ == "__main__":
     digests = {name: digest(name) for name in RUNS}
     DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")

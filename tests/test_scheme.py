@@ -17,7 +17,6 @@ from d3c.scheme import (
     build_basic_scheme,
     build_cdc_scheme,
     byte_iva_bits,
-    default_iva_bits,
     make_params,
     measure_computation,
     measure_storage,
@@ -55,12 +54,6 @@ def test_params_validation():
         SchemeParams(K=3, N=3, F=8, T=7, r=2, g=2)  # 2 does not divide 1*7
 
 
-def test_default_iva_bits_covers_every_g():
-    for r in range(1, 8):
-        T = default_iva_bits(r)
-        assert all(T % g == 0 for g in range(1, r + 1))
-
-
 def test_segment_error_names_the_smallest_whole_byte_T():
     # g divides eta * T exactly when T is a multiple of g / gcd(g, eta); at
     # K = r = g there is one batch, so eta = N
@@ -78,7 +71,7 @@ def test_readme_size_notes_name_real_functions():
     readme = Path(__file__).parents[1].joinpath("README.md").read_text()
     paragraph = readme.split("\nNotes on sizes:", 1)[1].split("\n\n", 1)[0]
     names = re.findall(r"`([\w.]+)\(", paragraph)
-    assert names == ["byte_iva_bits", "composer.safe_iva_bits", "default_iva_bits"]
+    assert names == ["byte_iva_bits", "composer.safe_iva_bits"]
     for name in names:
         assert callable(functools.reduce(getattr, name.split("."), d3c)), name
 
