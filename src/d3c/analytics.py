@@ -18,7 +18,7 @@ scheme beats by the converse of Li, Maddah-Ali, Yu and Avestimehr
 each basic point (r', g') has L' - P_g(r', c') = u(g - g')(g - g' + 1) /
 (g g' (g+1)) >= 0, where u = 1 - r'/K, zero exactly when g' is g or g + 1
 or r' = K. P_g is affine, so it bounds every file-group mixture of the
-library's basic schemes, and at g = floor(implied_g) the curve's load, which
+library's basic schemes, and at g = floor(implied g) the curve's load, which
 a plan reaches, is max(P_g, optimal_load_cdc). It is no converse for other
 schemes below c_star. All arithmetic is exact.
 """
@@ -35,11 +35,23 @@ from .errors import InternalConsistencyError, InvalidParameterError
 RationalLike = int | float | str | Fraction
 
 
+def _spelled_digits(text: str) -> int:
+    """Digits of the mantissa plus the exponent: a bound on the digits of what it names."""
+    mantissa, e, exponent = text.lower().partition("e")
+    try:
+        return sum(map(str.isdigit, mantissa)) + (abs(int(exponent)) if e else 0)
+    except ValueError:  # no exponent that Fraction reads either
+        return 0
+
+
 def to_fraction(x: RationalLike) -> Fraction:
-    """Exact conversion; floats go through their shortest decimal form. A
-    value that names no finite rational is an InvalidParameterError."""
+    """Exact conversion; floats go through their shortest decimal form. A value
+    that names no finite rational is an InvalidParameterError, as is text past
+    4300 digits, an int's default print limit (an exponent counts as many)."""
     if type(x) is Fraction:  # immutable, so it is its own conversion
         return x
+    if isinstance(x, str) and _spelled_digits(x) > 4300:
+        raise InvalidParameterError(f"not a finite rational number of at most 4300 digits: {x!r}")
     try:
         return Fraction(str(x) if isinstance(x, float) else x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -62,14 +74,6 @@ class TradeoffCurve:
     K: int
     r: Fraction
     points: tuple[CornerPoint, ...]
-
-    @property
-    def c_star(self) -> Fraction:
-        return self.points[-1].c
-
-    @property
-    def flat_load(self) -> Fraction:
-        return self.points[-1].L
 
 
 def _check_r(K: int, r: Fraction, *, allow_K: bool = False) -> None:
@@ -102,14 +106,9 @@ def basic_communication(K: int, r: int | Fraction, g: int | Fraction) -> Fractio
 
 
 def implied_g_terms(K: int, a: int, b: int, p: int, q: int) -> tuple[int, int]:
-    """implied_g at r = a/b, c = p/q as ints: (p K b - a q) / (q (K b - a))."""
+    """The g whose computation load is c, (c - r/K)/(1 - r/K), as ints at
+    r = a/b, c = p/q: (p K b - a q) / (q (K b - a)); needs r < K."""
     return p * K * b - a * q, q * (K * b - a)
-
-
-def implied_g(K: int, r: Fraction, c: Fraction) -> Fraction:
-    """The coding parameter whose computation load is c: the inverse of
-    basic_computation in g, (c - r/K)/(1 - r/K); needs r < K."""
-    return Fraction(*implied_g_terms(K, r.numerator, r.denominator, c.numerator, c.denominator))
 
 
 def g_r_terms(K: int, a: int, b: int) -> tuple[int, int]:
@@ -142,15 +141,13 @@ def lstar_formula(K: int, r: RationalLike) -> Fraction:
 
 
 def optimal_load_cdc(K: int, r: RationalLike) -> Fraction:
-    """Optimal full-computation load: the integer-point value, or the chord
-    between the neighboring integer points for fractional r."""
+    """Optimal full-computation load: the chord between the neighboring
+    integer points, which at integer r is that point's value."""
     r = to_fraction(r)
     _check_r(K, r, allow_K=True)
-    lo, hi = math.floor(r), math.ceil(r)
-    if lo == hi:
-        return lstar_formula(K, r)
+    lo = math.floor(r)
     alpha = r - lo
-    return (1 - alpha) * lstar_formula(K, lo) + alpha * lstar_formula(K, hi)
+    return (1 - alpha) * lstar_formula(K, lo) + alpha * lstar_formula(K, math.ceil(r))
 
 
 def g_r(K: int, r: RationalLike) -> Fraction:
@@ -247,5 +244,5 @@ def curve_to_dict(curve: TradeoffCurve) -> dict:
             for p in curve.points
         ],
         "flat_tail_end": str(curve.r),
-        "flat_load": str(curve.flat_load),
+        "flat_load": str(curve.points[-1].L),
     }

@@ -37,9 +37,6 @@ class BitString:
         h = hashlib.sha256(self.length.to_bytes(8, "big") + self.to_bytes())
         return h.hexdigest()[:16]
 
-    def __len__(self) -> int:
-        return self.length
-
     def __repr__(self) -> str:
         if self.length <= 32:
             return f"BitString(0b{self.value:0{self.length}b})" if self.length else "BitString(empty)"

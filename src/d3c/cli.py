@@ -42,9 +42,9 @@ SIZE_BUDGET, DIGEST_BUDGET = 2**20, 2**21
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+        return analytics.to_fraction(text)
+    except InvalidParameterError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _fraction_list(text: str) -> list[Fraction]:
@@ -105,29 +105,28 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="d3c", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, help_text: str, formats: tuple[str, ...], **flags) -> _Parser:
+    def add(name: str, help_text: str, handler, formats: tuple[str, ...], switches=(), **flags):
         p = sub.add_parser(name, help=help_text)
         for flag, spec in flags.items():
             p.add_argument(f"--{flag}", **spec)
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=formats, help="output format")
-        return p
+        for switch in switches:
+            p.add_argument(f"--{switch}", action="store_true")
+        p.set_defaults(handler=handler)
 
-    p = add(
+    add(
         "tradeoff",
         "emit the load curve for one storage space, or the saturation sweep",
-        ("csv", "json"),
+        _cmd_tradeoff, ("csv", "json"), ("cstar-sweep",),
         K={"type": int, "required": True},
         r={"type": _fraction},
         resolution={"type": int, "help": "interpolated samples per segment (default 0)"},
     )
-    p.add_argument("--cstar-sweep", action="store_true", dest="cstar_sweep")
-    p.set_defaults(handler=_cmd_tradeoff)
-
-    p = add(
+    add(
         "simulate",
         "plan, execute, and verify one run",
-        ("json",),
+        _cmd_simulate, ("json",), ("cdc",),
         K={"type": int, "required": True},
         N={"type": int, "required": True},
         r={"type": _fraction, "required": True},
@@ -137,13 +136,10 @@ def _build_parser() -> _Parser:
         B={"type": int},
         seed={"type": int, "default": 0},
     )
-    p.add_argument("--cdc", action="store_true")
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = add(
+    add(
         "compare",
         "execute several schemes on one corpus and tabulate the loads",
-        ("csv", "json"),
+        _cmd_compare, ("csv", "json"), ("cdc",),
         K={"type": int, "required": True},
         N={"type": int, "required": True},
         r={"type": int, "required": True},
@@ -152,22 +148,17 @@ def _build_parser() -> _Parser:
         B={"type": int},
         seed={"type": int, "default": 0},
     )
-    p.add_argument("--cdc", action="store_true")
-    p.set_defaults(handler=_cmd_compare)
-
-    p = add(
+    add(
         "verify",
         "exhaustively check decodability and exact loads up to a node count",
-        ("csv", "json"),
+        _cmd_verify, ("csv", "json"),
         K={"type": int, "required": True, "help": "largest node count to check"},
         seed={"type": int, "default": 0},
     )
-    p.set_defaults(handler=_cmd_verify)
-
-    p = add(
+    add(
         "sweep",
         "tabulate predicted (and optionally measured) loads over a grid",
-        ("csv",),
+        _cmd_sweep, ("csv",), ("execute",),
         K={"type": int, "required": True},
         r={"type": _fraction_list, "required": True},
         c={"type": _fraction_list, "default": []},
@@ -175,22 +166,16 @@ def _build_parser() -> _Parser:
         seed={"type": int},
         resolution={"type": int, "help": "grid points per storage value (default 20)"},
     )
-    p.add_argument("--execute", action="store_true")
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = add(
+    add(
         "inspect",
         "serialize a scheme's placement and compute plan as JSON",
-        ("json",),
+        _cmd_inspect, ("json",), ("cdc",),
         K={"type": int, "required": True},
         N={"type": int, "required": True},
         r={"type": int, "required": True},
         g={"type": int},
         T={"type": int},
     )
-    p.add_argument("--cdc", action="store_true")
-    p.set_defaults(handler=_cmd_inspect)
-
     return parser
 
 
@@ -269,7 +254,8 @@ def _run(plan, N: int, T: int, seed: int, B: int | None = None):
     """Execute plan on the seeded corpus of N files of 64 bits, with T-bit
     values and B-bit outputs; the report, and whether decoding verified and
     every measured load equals its prediction."""
-    report = engine.execute(plan, engine.generate_corpus(N, 64, seed), engine.default_suite(T, B))
+    suite = engine.default_suite(T, B)  # refuses a bad T or B before the corpus is built
+    report = engine.execute(plan, engine.generate_corpus(N, 64, seed), suite)
     return report, report.verification_passed and report.measured == LoadReport(**report.predicted)
 
 

@@ -62,24 +62,21 @@ def enum_subsets(universe: int, size: int) -> list[NodeSet]:
     return list(combinations(range(1, universe + 1), size))
 
 
+def _enum_pairs(index, K: int, outer: int, inner: int) -> list:
+    """index(a, b) for each outer-subset a of [1..K] and inner-subset b of a, lexicographically."""
+    return [index(a, b) for a in enum_subsets(K, outer) for b in combinations(a, inner)]
+
+
 def enum_omega(K: int, r: int, g: int) -> list[BatchIndex]:
     """All batch indices (s, t), lexicographic by s then t."""
     _check_params(K, r, g, require_r_below_K=False)
-    out = []
-    for s in enum_subsets(K, r):
-        for t in combinations(s, g):
-            out.append(BatchIndex(s, t))
-    return out
+    return _enum_pairs(BatchIndex, K, r, g)
 
 
 def enum_pi(K: int, r: int, g: int) -> list[GroupIndex]:
     """All multicast group indices (i, j), same ordering convention as omega."""
     _check_params(K, r, g, require_r_below_K=True)
-    out = []
-    for i in enum_subsets(K, r + 1):
-        for j in combinations(i, g + 1):
-            out.append(GroupIndex(i, j))
-    return out
+    return _enum_pairs(GroupIndex, K, r + 1, g + 1)
 
 
 def group_divisor(K: int, r: int, g: int) -> int:

@@ -255,7 +255,7 @@ def test_flat_region_identity_is_analytic():
     flat = (1 - alpha) * Fraction(1, 4) * (1 - Fraction(4, K)) + alpha * Fraction(1, 5) * (
         1 - Fraction(5, K)
     )
-    cs = curve.c_star
+    cs = curve.points[-1].c
     grid = [cs + (r - cs) * Fraction(i, 8) for i in range(9)]
     ok = all(query_load(curve, c) == flat for c in grid)
     _report("flat-region identity (analytic)", ok, f"L = {flat} on [{cs}, {r}]")

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from fraction_planner import implied_g
 
 from d3c.analytics import (
     basic_communication,
@@ -19,7 +20,7 @@ from d3c.analytics import (
     corner_load,
     curve_rows,
     g_r,
-    implied_g,
+    implied_g_terms,
     lstar_formula,
     optimal_load_cdc,
     query_load,
@@ -49,7 +50,18 @@ RATIONAL_CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", ["1/0", float("nan"), float("inf"), "abc", None])
+# text past 4300 digits, an exponent counted as that many, is refused before
+# it is expanded: the interpreter would print no such value in a message
+TOO_LONG = [
+    "1e5000",
+    "1e-5000",
+    "1e20000000",
+    pytest.param("1" * 4301, id="4301-digits"),
+    pytest.param("1/" + "1" * 4301, id="4301-digit-denominator"),
+]
+
+
+@pytest.mark.parametrize("value", ["1/0", float("nan"), float("inf"), "abc", None, *TOO_LONG])
 @pytest.mark.parametrize("call", sorted(RATIONAL_CALLS))
 def test_malformed_rationals_are_invalid_parameters(call, value):
     with pytest.raises(InvalidParameterError, match="not a finite rational number"):
@@ -189,7 +201,9 @@ def test_implied_g_inverts_basic_computation():
         for num in range(4, 4 * K):
             r = Fraction(num, 4)
             for g in (1, Fraction(3, 2), 2, r):
-                assert implied_g(K, r, basic_computation(K, r, g)) == g
+                c = basic_computation(K, r, g)
+                terms = implied_g_terms(K, r.numerator, r.denominator, c.numerator, c.denominator)
+                assert Fraction(*terms) == g
 
 
 def test_curve_points_strictly_convex():
@@ -202,7 +216,7 @@ def test_curve_points_strictly_convex():
                 assert (b.L - a.L) * (c.c - a.c) < (c.L - a.L) * (b.c - a.c), (K, num, b)
 
 
-def test_curve_envelope_may_drop_a_corner():
+def test_curve_keeps_every_corner_near_K():
     # with storage close to K the last integer corner sits nearest the
     # saturation point; at the reachable saturation load (the chord of the
     # r = 8 and r = 9 points, (1/40 + 1/90) / 2) it stays below the chord

@@ -13,7 +13,7 @@ from d3c.errors import InvalidParameterError
 def test_byte_roundtrip():
     data = bytes([0xDE, 0xAD, 0xBE, 0xEF])
     bs = BitString(int.from_bytes(data, "big"), 32)
-    assert len(bs) == 32
+    assert bs.length == 32
     assert bs.to_bytes() == data
 
 

@@ -101,6 +101,25 @@ def test_tradeoff_rejects_bad_r(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tradeoff", "--K", "10", "--r", "1e5000"),
+        ("simulate", "--K", "10", "--N", "10", "--r", "2", "--c", "1e-5000"),
+        ("sweep", "--K", "10", "--r", "1e5000"),
+        ("tradeoff", "--K", "10", "--r", "1e20000000"),
+    ],
+)
+def test_a_rational_past_the_digit_bound_is_refused_at_once(capsys, digit_limit, argv):
+    # the interpreter prints no int past 4300 digits, and would spend
+    # seconds expanding 1e20000000
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "not a finite rational number of at most 4300 digits" in err
+
+
 def test_simulate_golden(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _, _ = run(
@@ -152,6 +171,8 @@ def test_simulate_flag_conflicts(capsys):
     assert code == 1 and "the baseline always computes c = r" in err
     code, _, err = run(capsys, "simulate", "--K", "3", "--N", "6", "--r", "5/2", "--g", "1")
     assert code == 1 and "--g requires integer --r" in err
+    code, _, err = run(capsys, "simulate", "--K", "3", "--N", "6", "--r", "5/2", "--cdc")
+    assert code == 1 and "the baseline scheme needs integer --r" in err
 
 
 def test_an_execution_failure_exits_three(capsys, monkeypatch):
@@ -592,7 +613,7 @@ def test_readme_refusals_exit_at_once(capsys, digit_limit):
     paragraph = readme.split("\nExit codes:", 1)[1].split("\n\n", 1)[0].replace("\n", " ")
     commands = "tradeoff|simulate|compare|verify|sweep|inspect"
     spans = re.findall(rf"`((?:{commands}) --K [^`]*)`", paragraph)
-    assert len(spans) == 12
+    assert len(spans) == 13
     for span in spans:
         start = time.perf_counter()
         code, out, _ = run(capsys, *span.split())
@@ -654,7 +675,13 @@ def test_row_budget_follows_the_argument_checks(capsys, monkeypatch):
         assert message in err and "budget" not in err, argv
 
 
-def test_zero_value_size_is_rejected(capsys):
+def test_zero_value_size_is_rejected(capsys, monkeypatch):
+    import d3c.engine
+
+    def no_corpus(*args):
+        raise AssertionError("corpus built before the value sizes were checked")
+
+    monkeypatch.setattr(d3c.engine, "generate_corpus", no_corpus)
     base = ("--K", "3", "--N", "6", "--r", "2", "--T", "0")
     for argv in (
         ("simulate", *base, "--g", "2"),
@@ -663,6 +690,9 @@ def test_zero_value_size_is_rejected(capsys):
         ("inspect", *base, "--g", "2"),
         ("inspect", *base, "--cdc"),
         ("sweep", "--K", "4", "--r", "2", "--resolution", "2", "--execute", "--T", "0"),
+        ("sweep", "--K", "6", "--r", "5/2", "--c", "3/2", "--execute", "--T", "0"),
+        ("simulate", "--K", "3", "--N", "6", "--r", "2", "--c", "4/3", "--B", "0"),
+        ("compare", "--K", "10", "--N", "1260", "--r", "4", "--g", "2", "--B", "0"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
