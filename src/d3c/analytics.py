@@ -20,7 +20,8 @@ each basic point (r', g') has L' - P_g(r', c') = u(g - g')(g - g' + 1) /
 or r' = K. P_g is affine, so it bounds every file-group mixture of the
 library's basic schemes, and at g = floor(implied g) the curve's load, which
 a plan reaches, is max(P_g, optimal_load_cdc). It is no converse for other
-schemes below c_star. All arithmetic is exact.
+schemes below c_star. A load at (r, c) is the load of the plan _route makes
+for it in ints, not a chord of the curve's points. All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -44,18 +45,30 @@ def _spelled_digits(text: str) -> int:
         return 0
 
 
+def _too_long(n: int) -> bool:
+    """Whether n has more than 4300 digits, judged from its bits first (2^14284 < 10^4300)."""
+    return n.bit_length() > 14284 and abs(n) >= 10**4300
+
+
+def int_text(n: int) -> str:
+    """n in decimal, or "at least 2^k" past 4300 digits, which the interpreter does not print."""
+    return f"at least 2^{n.bit_length() - 1}" if _too_long(n) else str(n)
+
+
 def to_fraction(x: RationalLike) -> Fraction:
     """Exact conversion; floats go through their shortest decimal form. A value
-    that names no finite rational is an InvalidParameterError, as is text past
-    4300 digits, an int's default print limit (an exponent counts as many)."""
-    if type(x) is Fraction:  # immutable, so it is its own conversion
-        return x
-    if isinstance(x, str) and _spelled_digits(x) > 4300:
-        raise InvalidParameterError(f"not a finite rational number of at most 4300 digits: {x!r}")
-    try:
-        return Fraction(str(x) if isinstance(x, float) else x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise InvalidParameterError(f"not a finite rational number: {x!r}") from None
+    that names no finite rational, or has a part past 4300 digits (an int's
+    default print limit; text is judged before it is expanded, an exponent
+    counting as many digits), is an InvalidParameterError."""
+    spelled_long = isinstance(x, str) and _spelled_digits(x) > 4300
+    if type(x) is not Fraction and not spelled_long:  # a Fraction is its own conversion
+        try:
+            x = Fraction(str(x) if isinstance(x, float) else x)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise InvalidParameterError(f"not a finite rational number: {x!r}") from None
+    if spelled_long or _too_long(x.numerator) or _too_long(x.denominator):
+        raise InvalidParameterError("not a finite rational number of at most 4300 digits")
+    return x
 
 
 @dataclass(frozen=True)
@@ -141,13 +154,13 @@ def lstar_formula(K: int, r: RationalLike) -> Fraction:
 
 
 def optimal_load_cdc(K: int, r: RationalLike) -> Fraction:
-    """Optimal full-computation load: the chord between the neighboring
-    integer points, which at integer r is that point's value."""
+    """Optimal full-computation load: the chord between the neighboring integer
+    points, the load of (b - A)/b of the files at (lo, lo) and A/b at (hi, hi)
+    for r = lo + A/b and hi = ceil(r); at integer r, that point's value."""
     r = to_fraction(r)
     _check_r(K, r, allow_K=True)
-    lo = math.floor(r)
-    alpha = r - lo
-    return (1 - alpha) * lstar_formula(K, lo) + alpha * lstar_formula(K, math.ceil(r))
+    (lo, A), b, hi = divmod(r.numerator, r.denominator), r.denominator, math.ceil(r)
+    return _groups_load(K, b, [(b - A, lo, lo), (A, hi, hi)])
 
 
 def g_r(K: int, r: RationalLike) -> Fraction:
@@ -176,14 +189,13 @@ def build_curve(K: int, r: RationalLike) -> TradeoffCurve:
     """
     r = to_fraction(r)
     _check_r(K, r)
-    points = [corner_load(K, r, g) for g in range(1, math.floor(r) + 1)]
+    a, bK = r.numerator, r.denominator * K  # r/K = a/(b K): the closed forms at K' = b K, r' = a
+    points = [CornerPoint(Fraction(g), basic_computation(bK, a, g), basic_communication(bK, a, g))
+              for g in range(1, a // r.denominator + 1)]
     cs, ls = c_star(K, r), optimal_load_cdc(K, r)
     if cs > points[-1].c:
         points.append(CornerPoint(g_r(K, r), cs, ls))
-    else:
-        # integer r, or fractional r with ceil(r) = K (where g_r = floor(r)
-        # and the r = K side of the chord carries no load): the last corner
-        # already is the saturation point
+    else:  # integer r, or ceil(r) = K (g_r = floor(r)): the last corner saturates
         assert cs == points[-1].c and ls == points[-1].L
     for prev, nxt in zip(points, points[1:]):
         if not (prev.c < nxt.c and nxt.L <= prev.L):
@@ -191,23 +203,51 @@ def build_curve(K: int, r: RationalLike) -> TradeoffCurve:
     return TradeoffCurve(K, r, tuple(points))
 
 
-def _chord(a: CornerPoint, b: CornerPoint, c: Fraction) -> Fraction:
-    """Load at c on the segment from point a to point b, exactly."""
-    return a.L + (b.L - a.L) * (c - a.c) / (b.c - a.c)
+def _route(K: int, r: Fraction, c: Fraction) -> tuple[str, int, list[tuple[int, int, int]]]:
+    """The route label, a denominator D and the groups (n, r', g') holding n/D
+    of the files each: 1 - w of the curve point below the implied g and w of the
+    point above, w = (g - below) / (above - below), in first-seen order without
+    zero weights. At r = a/b, c = p/q, lo, A = divmod(a, b), hi = ceil(r) and
+    u = K b - a: g = G/Q = (p K b - a q)/(q u), g_r = Gr/u, and the point at
+    integer x is (b - A)/b of (lo, x) and A/b of (hi, x)."""
+    a, b, p, q = r.numerator, r.denominator, c.numerator, c.denominator
+    if not (q <= p and p * b <= a * q):
+        raise InvalidParameterError(f"need 1 <= c <= r, got c={c}, r={r}")
+    if not a < K * b:
+        raise InvalidParameterError(f"need r < K for planning, got r={r}, K={K}")
+    lo, A = divmod(a, b)
+    hi = lo + (A != 0)
+    (G, Q), (Gr, u) = implied_g_terms(K, a, b, p, q), g_r_terms(K, a, b)
+    clamp = G * u > Gr * Q  # g > g_r: plan at g_r = Gr q / Q
+    base, W = divmod(Gr * q if clamp else G, Q)  # g = base + W/Q
+    if not W:
+        route, D, groups = ("corner" if b == 1 else "e1"), b, [(b - A, lo, base), (A, hi, base)]
+    elif base < lo:  # w = W/Q toward the next corner
+        route, D = "e2", Q * b
+        groups = [((Q - W) * (b - A), lo, base), ((Q - W) * A, hi, base),
+                  (W * (b - A), lo, base + 1), (W * A, hi, base + 1)]
+    else:  # w = W / (q A (K - hi)) toward g_r, as g_r - lo = A (K - hi)/u; 1 on clamp
+        route, S = "e3", q * (K - hi)
+        D, groups = S * b, [((b - A) * S, lo, lo), (A * S - W, hi, lo), (W, hi, hi)]
+    return ("clamp" if clamp else route), D, [sp for sp in groups if sp[0]]
+
+
+def _groups_load(K: int, D: int, groups: list[tuple[int, int, int]]) -> Fraction:
+    """Communication load of groups (n, r', g') holding n/D of the files each, M = lcm g'."""
+    M = math.lcm(*[g for _, _, g in groups])
+    total = 0
+    for n, r_, g in groups:
+        total += n * scaled_communication(K, r_) * (M // g)
+    return Fraction(total, D * K * M)
 
 
 def query_load(curve: TradeoffCurve, c: RationalLike) -> Fraction:
-    """Envelope load at computation budget c, by exact linear interpolation;
-    constant at the saturation value for c >= c_star."""
+    """Least load at computation budget c, constant for c >= c_star: the load of the plan
+    _route makes for (curve.r, c), not an interpolation of the curve (it equals the envelope's)."""
     c = to_fraction(c)
     if not 1 <= c <= curve.r:
         raise InvalidParameterError(f"computation load {c} outside [1, {curve.r}]")
-    points = curve.points
-    if c >= points[-1].c:
-        return points[-1].L
-    # the first point sits at c = 1, so some segment holds c
-    a, b = next((a, b) for a, b in zip(points, points[1:]) if c <= b.c)
-    return _chord(a, b, c)
+    return _groups_load(curve.K, *_route(curve.K, curve.r, c)[1:])
 
 
 def curve_rows(curve: TradeoffCurve, samples: int = 0) -> Iterator[tuple[Fraction, Fraction, str]]:
@@ -224,9 +264,9 @@ def _rows(curve: TradeoffCurve, samples: int) -> Iterator[tuple[Fraction, Fracti
     points = curve.points
     for a, b in zip(points, points[1:]):
         yield a.c, a.L, "corner"
-        for i in range(1, samples + 1):
-            c = a.c + (b.c - a.c) * Fraction(i, samples + 1)
-            yield c, _chord(a, b, c), "chord"
+        for i in range(1, samples + 1):  # i/(samples + 1) of the way from a to b
+            t = Fraction(i, samples + 1)
+            yield a.c + (b.c - a.c) * t, a.L + (b.L - a.L) * t, "chord"
     yield points[-1].c, points[-1].L, "corner"
     if curve.r > points[-1].c:
         for i in range(1, samples + 1):

@@ -221,10 +221,7 @@ def _check_size(args, count: int, unit: str = "(file, node) pairs", budget=None)
     least 1, so a K below 1 with a huge N is refused like any other."""
     budget = SIZE_BUDGET if budget is None else budget
     if count > budget:
-        try:
-            shown = str(count)
-        except ValueError:  # more digits than the interpreter converts
-            shown = f"at least 2^{count.bit_length() - 1}"
+        shown = analytics.int_text(count)
         raise InvalidParameterError(
             f"this {args.command} needs {shown} {unit}, over the budget of {budget}"
         )

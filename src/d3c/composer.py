@@ -6,11 +6,11 @@ has a point at each integer coding parameter g = 1..floor(r), the storage
 split (floor(r), g) / (ceil(r), g) in the proportion that averages to r, and
 the saturation point at g_r, the pair (floor(r), floor(r)) /
 (ceil(r), ceil(r)). One rule plans every target: the budget c implies a
-coding parameter g, and the plan is the chord mix (_route) of the two curve
-points around g, weighted so the mix lands on g. The point below is
-floor(g); the point above is floor(g) + 1 below floor(r) (route e2) and the
-saturation point past it (route e3). An integer g is one point (route corner
-at integer r, e1 otherwise).
+coding parameter g, and the plan is the chord mix (analytics._route) of the
+two curve points around g, weighted so the mix lands on g. The point below
+is floor(g); the point above is floor(g) + 1 below floor(r) (route e2) and
+the saturation point past it (route e3). An integer g is one point (route
+corner at integer r, e1 otherwise).
 
 Beyond saturation the plan is the plan at c_star (route clamp): extra
 computation budget buys no further communication savings, so the plan's
@@ -27,10 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytics import (
-    RationalLike, g_r_terms, implied_g_terms, scaled_communication, scaled_computation,
-    to_fraction,
-)
+from .analytics import RationalLike, _groups_load, _route, int_text, scaled_computation, to_fraction
 from .combinatorics import group_divisor
 from .errors import DivisibilityError, InternalConsistencyError, InvalidParameterError
 from .scheme import byte_iva_bits
@@ -68,35 +65,6 @@ class CompositePlan:
     route: str  # one of corner, e1, e2, e3, clamp
 
 
-def _route(K: int, r: Fraction, c: Fraction) -> tuple[str, int, list[tuple[int, int, int]]]:
-    """The route label, a denominator D and the groups (n, r', g') holding n/D
-    of the files each: 1 - w of the curve point below the implied g and w of the
-    point above, w = (g - below) / (above - below), in first-seen order without
-    zero weights. At r = a/b, c = p/q, lo, A = divmod(a, b), hi = ceil(r) and
-    u = K b - a: g = G/Q = (p K b - a q)/(q u), g_r = Gr/u, and the point at
-    integer x is (b - A)/b of (lo, x) and A/b of (hi, x)."""
-    a, b, p, q = r.numerator, r.denominator, c.numerator, c.denominator
-    if not (q <= p and p * b <= a * q):
-        raise InvalidParameterError(f"need 1 <= c <= r, got c={c}, r={r}")
-    if not a < K * b:
-        raise InvalidParameterError(f"need r < K for planning, got r={r}, K={K}")
-    lo, A = divmod(a, b)
-    hi = lo + (A != 0)
-    (G, Q), (Gr, u) = implied_g_terms(K, a, b, p, q), g_r_terms(K, a, b)
-    clamp = G * u > Gr * Q  # g > g_r: plan at g_r = Gr q / Q
-    base, W = divmod(Gr * q if clamp else G, Q)  # g = base + W/Q
-    if not W:
-        route, D, groups = ("corner" if b == 1 else "e1"), b, [(b - A, lo, base), (A, hi, base)]
-    elif base < lo:  # w = W/Q toward the next corner
-        route, D = "e2", Q * b
-        groups = [((Q - W) * (b - A), lo, base), ((Q - W) * A, hi, base),
-                  (W * (b - A), lo, base + 1), (W * A, hi, base + 1)]
-    else:  # w = W / (q A (K - hi)) toward g_r, as g_r - lo = A (K - hi)/u; 1 on clamp
-        route, S = "e3", q * (K - hi)
-        D, groups = S * b, [((b - A) * S, lo, lo), (A * S - W, hi, lo), (W, hi, hi)]
-    return ("clamp" if clamp else route), D, [sp for sp in groups if sp[0]]
-
-
 def _files_needed(K: int, D: int, groups: list[tuple[int, int, int]]) -> int:
     """Smallest corpus size N at which each group's n N / D files are a multiple of its divisor."""
     need = 1
@@ -121,35 +89,34 @@ def plan_for_target(K: int, N: int, r: RationalLike, c: RationalLike) -> Composi
         raise InvalidParameterError(f"file count must be positive, got {N}")
     if N % need:
         raise DivisibilityError(
-            f"corpus of {N} files cannot be split for target (r={r}, c={c}); "
-            f"the smallest admissible file count is {need}",
+            f"corpus of {int_text(N)} files cannot be split for target (r={r}, c={c}); "
+            f"the smallest admissible file count is {int_text(need)}",
             min_files=need,
         )
-    bound, offset = [], 0
+    # checked in ints; on every route but clamp the plan's r and c are the target's
+    bound, offset, stored, computed = [], 0, 0, 0
     for n, r_, g in groups:
         count = n * N // D
         bound.append(GroupSpec(Fraction(n, D), r_, g, offset + 1, count))
         offset += count
+        stored += n * r_
+        computed += n * scaled_computation(K, r_, g)
     if offset != N:
         raise InternalConsistencyError(f"group counts sum to {offset}, expected {N}")
-    M = math.lcm(*(g for _, _, g in groups))
-    predicted_r = Fraction(sum(n * r_ for n, r_, _ in groups), D)
-    predicted_c = Fraction(sum(n * scaled_computation(K, r_, g) for n, r_, g in groups), D * K)
-    predicted_L = Fraction(
-        sum(n * scaled_communication(K, r_) * (M // g) for n, r_, g in groups), D * K * M
-    )
-    if predicted_r != r:
-        raise InternalConsistencyError(f"weighted storage {predicted_r} != target {r}")
-    if route != "clamp" and predicted_c != c:
-        raise InternalConsistencyError(f"weighted computation {predicted_c} != target {c}")
+    if stored * r.denominator != r.numerator * D:
+        raise InternalConsistencyError(f"weighted storage {Fraction(stored, D)} != target {r}")
+    if route != "clamp" and computed * c.denominator != c.numerator * D * K:
+        raise InternalConsistencyError(
+            f"weighted computation {Fraction(computed, D * K)} != target {c}"
+        )
     return CompositePlan(
         K=K,
         N=N,
         target_c=c,
         groups=tuple(bound),
-        predicted_r=predicted_r,
-        predicted_c=predicted_c,
-        predicted_L=predicted_L,
+        predicted_r=r,
+        predicted_c=Fraction(computed, D * K) if route == "clamp" else c,
+        predicted_L=_groups_load(K, D, groups),
         route=route,
     )
 

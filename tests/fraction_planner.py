@@ -1,16 +1,20 @@
 """Reference planner: the Fraction-arithmetic router that the integer
-planner in ``d3c.composer`` replaced, kept verbatim (``_mix``, ``_point``,
-``_route``, ``_files_needed``) with the Fraction closed forms it was built
-on, so tests can check that both plan every target alike."""
+planner in ``d3c.analytics`` and ``d3c.composer`` replaced, kept verbatim
+(``_mix``, ``_point``, ``_route``, ``_files_needed``) with the Fraction
+closed forms it was built on, so tests can check that both plan every target
+alike; and the Fraction envelope that ``build_curve`` built and whose chords
+``query_load`` interpolated (``build_curve``, ``_chord``, ``query_load``),
+so tests can check that the route's loads are the envelope's."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
+from d3c.analytics import CornerPoint, RationalLike, TradeoffCurve, _check_r, to_fraction
 from d3c.combinatorics import group_divisor
 from d3c.composer import GroupSpec
-from d3c.errors import InvalidParameterError
+from d3c.errors import InternalConsistencyError, InvalidParameterError
 
 
 def basic_computation(K: int, r: int | Fraction, g: int | Fraction) -> Fraction:
@@ -101,3 +105,60 @@ def reference_plan(K: int, r: Fraction, c: Fraction):
         sum(sp.fraction * basic_communication(K, sp.r, sp.g) for sp in groups),
     )
     return route, [(sp.fraction, sp.r, sp.g) for sp in groups], _files_needed(K, groups), loads
+
+
+def corner_load(K: int, r: Fraction, g: int) -> CornerPoint:
+    """The integer-g corner of the curve for storage space r."""
+    return CornerPoint(Fraction(g), basic_computation(K, r, g), basic_communication(K, r, g))
+
+
+def c_star(K: int, r: Fraction) -> Fraction:
+    """Computation load at the saturation coding parameter g_r."""
+    return basic_computation(K, r, g_r(K, r))
+
+
+def optimal_load_cdc(K: int, r: Fraction) -> Fraction:
+    """The chord between the neighboring integer points (1/x)(1 - x/K)."""
+    lo = math.floor(r)
+    alpha = r - lo
+    return (1 - alpha) * basic_communication(K, lo, lo) + alpha * basic_communication(
+        K, math.ceil(r), math.ceil(r)
+    )
+
+
+def build_curve(K: int, r: RationalLike) -> TradeoffCurve:
+    """Envelope of the corners and the saturation point, flat out to c = r."""
+    r = to_fraction(r)
+    _check_r(K, r)
+    points = [corner_load(K, r, g) for g in range(1, math.floor(r) + 1)]
+    cs, ls = c_star(K, r), optimal_load_cdc(K, r)
+    if cs > points[-1].c:
+        points.append(CornerPoint(g_r(K, r), cs, ls))
+    else:
+        # integer r, or fractional r with ceil(r) = K (where g_r = floor(r)
+        # and the r = K side of the chord carries no load): the last corner
+        # already is the saturation point
+        assert cs == points[-1].c and ls == points[-1].L
+    for prev, nxt in zip(points, points[1:]):
+        if not (prev.c < nxt.c and nxt.L <= prev.L):
+            raise InternalConsistencyError(f"non-monotone curve points: {prev} -> {nxt}")
+    return TradeoffCurve(K, r, tuple(points))
+
+
+def _chord(a: CornerPoint, b: CornerPoint, c: Fraction) -> Fraction:
+    """Load at c on the segment from point a to point b, exactly."""
+    return a.L + (b.L - a.L) * (c - a.c) / (b.c - a.c)
+
+
+def query_load(curve: TradeoffCurve, c: RationalLike) -> Fraction:
+    """Envelope load at computation budget c, by exact linear interpolation;
+    constant at the saturation value for c >= c_star."""
+    c = to_fraction(c)
+    if not 1 <= c <= curve.r:
+        raise InvalidParameterError(f"computation load {c} outside [1, {curve.r}]")
+    points = curve.points
+    if c >= points[-1].c:
+        return points[-1].L
+    # the first point sits at c = 1, so some segment holds c
+    a, b = next((a, b) for a, b in zip(points, points[1:]) if c <= b.c)
+    return _chord(a, b, c)

@@ -38,6 +38,8 @@ def test_to_fraction_accepts_common_forms():
     assert to_fraction(2) == 2
     assert to_fraction(4.5) == Fraction(9, 2)
     assert to_fraction(0.1) == Fraction(1, 10)  # decimal reading, not binary
+    assert to_fraction(10**4300 - 1) == 10**4300 - 1  # 4300 digits, the most printed
+    assert to_fraction(Fraction(1, 10**4300 - 1)).denominator == 10**4300 - 1
 
 
 # each call passes the malformed value as one rational argument
@@ -51,13 +53,18 @@ RATIONAL_CALLS = {
 
 
 # text past 4300 digits, an exponent counted as that many, is refused before
-# it is expanded: the interpreter would print no such value in a message
+# it is expanded, and an int or Fraction with such a part from its bits: the
+# interpreter would print no such value in a message
 TOO_LONG = [
     "1e5000",
     "1e-5000",
     "1e20000000",
     pytest.param("1" * 4301, id="4301-digits"),
     pytest.param("1/" + "1" * 4301, id="4301-digit-denominator"),
+    pytest.param(10**5000, id="int-10^5000"),
+    pytest.param(10**4300, id="int-4301-digits"),
+    pytest.param(Fraction(3, 10**5000), id="fraction-10^5000-denominator"),
+    pytest.param(Fraction(-(10**4300), 7), id="fraction-4301-digit-numerator"),
 ]
 
 

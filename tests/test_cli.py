@@ -183,10 +183,19 @@ def test_an_execution_failure_exits_three(capsys, monkeypatch):
     assert err.startswith("d3c: failure: decode failed at node 3: ")
 
 
-def test_simulate_infeasible_exit(capsys):
+def test_simulate_infeasible_exit(capsys, digit_limit):
     code, _, err = run(capsys, "simulate", "--K", "3", "--N", "5", "--r", "2", "--c", "4/3")
     assert code == 2
     assert "smallest admissible file count is 3" in err
+    # in-bound texts whose smallest file count has 6006 digits, more than the
+    # interpreter prints: it is named by the power of two at or below it
+    r, c = "3." + "0" * 2000 + "1", "1." + "0" * 4000 + "1"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", "--K", "10", "--N", "10", "--r", r, "--c", c)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("d3c: infeasible: ") and err.count("\n") == 1
+    assert "smallest admissible file count is at least 2^" in err
 
 
 def test_usage_errors_exit_one(capsys):
