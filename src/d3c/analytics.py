@@ -51,8 +51,10 @@ def _too_long(n: int) -> bool:
 
 
 def int_text(n: int) -> str:
-    """n in decimal, or "at least 2^k" past 4300 digits, which the interpreter does not print."""
-    return f"at least 2^{n.bit_length() - 1}" if _too_long(n) else str(n)
+    """n in decimal, or past 4300 digits, which the interpreter does not print,
+    "at least 2^k" (or "at most -2^k" for a negative n)."""
+    bound = f"at {'most -' if n < 0 else 'least '}2^{n.bit_length() - 1}"
+    return bound if _too_long(n) else str(n)
 
 
 def to_fraction(x: RationalLike) -> Fraction:

@@ -13,6 +13,7 @@ import math
 from itertools import combinations
 from typing import NamedTuple
 
+from .analytics import int_text
 from .errors import DivisibilityError, InvalidParameterError
 
 # Counts are kept within unsigned 64-bit range so serialized schemes stay
@@ -50,7 +51,7 @@ def binomial(n: int, k: int) -> int:
         return 0
     value = math.comb(n, k)
     if value > _COUNT_MAX:
-        raise OverflowError(f"C({n}, {k}) exceeds the 64-bit count range")
+        raise OverflowError(f"C({int_text(n)}, {k}) exceeds the 64-bit count range")
     return value
 
 
@@ -89,11 +90,11 @@ def batch_size(N: int, K: int, r: int, g: int) -> int:
     """Files per batch: N / (C(K,r) * C(r,g)); N must divide evenly."""
     _check_params(K, r, g, require_r_below_K=False)
     if N < 1:
-        raise InvalidParameterError(f"file count must be positive, got {N}")
+        raise InvalidParameterError(f"file count must be positive, got {int_text(N)}")
     denom = group_divisor(K, r, g)
     if N % denom:
         raise DivisibilityError(
-            f"file count {N} is not a multiple of C({K},{r})*C({r},{g}) = {denom}; "
+            f"file count {int_text(N)} is not a multiple of C({K},{r})*C({r},{g}) = {denom}; "
             f"smallest admissible count is {denom}",
             min_files=denom,
         )

@@ -86,7 +86,7 @@ def plan_for_target(K: int, N: int, r: RationalLike, c: RationalLike) -> Composi
     route, D, groups = _route(K, r, c)
     need = _files_needed(K, D, groups)
     if N < 1:
-        raise InvalidParameterError(f"file count must be positive, got {N}")
+        raise InvalidParameterError(f"file count must be positive, got {int_text(N)}")
     if N % need:
         raise DivisibilityError(
             f"corpus of {int_text(N)} files cannot be split for target (r={r}, c={c}); "

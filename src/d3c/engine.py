@@ -1,8 +1,13 @@
 """End-to-end simulated runs: corpus, map, coded shuffle, reduce, verify.
 
 Nodes are logical entities in one process; a large run on two CPUs forks
-its oracle into a child. Each scheme's signals are built once into one
-broadcast store keyed by (sender, group), which every node decodes from.
+its oracle into a child. Each node keeps the values it maps for other
+targets as whole blocks, one int per (target, batch) keyed by (target,
+first file of the batch), its values joined in file order with the first
+on top, so the exchange cuts each segment with one shift. Its own
+function's values, and those it decodes, go straight into its reduce input.
+Each scheme's signals are built once into one broadcast store keyed by
+(sender, group), which every node decodes from.
 Each node has one record (``_Node``): the gate that admits only its placed
 files and the others' signals, and its counts, from which the report is
 read. An access outside the plan ends the run with ``ExecutionError``, so a
@@ -31,12 +36,11 @@ from .composer import CompositePlan, safe_iva_bits
 from .errors import ExecutionError, InvalidParameterError
 from .scheme import (
     BasicScheme,
-    IvaId,
     LoadReport,
     SchemeParams,
     _placement,
 )
-from .shuffle import build_signals, decode_node, write_signal_trace
+from .shuffle import _block_segment, _decode, _encode, write_signal_trace
 
 
 @dataclass(frozen=True)
@@ -400,18 +404,23 @@ def execute(
 
         map_fn = suite.map_fn
         for scheme in schemes:
-            # keyed by plain (target, file) tuples, which hash and compare equal
-            # to IvaId, so IvaId lookups still find every value
-            computed: dict[int, dict[IvaId, int]] = {node.k: {} for node in nodes}
+            # each node's blocks of the other targets, keyed by (target, first file)
+            blocks: dict[int, dict[tuple[int, int], int]] = {node.k: {} for node in nodes}
             for batch, files in scheme.batches.items():
                 for k, functions in scheme.mappers(batch):
-                    store, read, uses = computed[k], nodes[k - 1].read, len(functions)
-                    for n in files:
-                        data = read(n, uses)
-                        for q in functions:
-                            store[q, n] = map_fn(q, n, data)
+                    read, uses, own = nodes[k - 1].read, len(functions), collected[k - 1]
+                    data = [read(n, uses) for n in files]
+                    for q in functions:
+                        if q == k:
+                            for n, d in zip(files, data):
+                                own[n - 1] = map_fn(q, n, d)
+                        else:
+                            block = 0
+                            for n, d in zip(files, data):
+                                block = block << T | map_fn(q, n, d)
+                            blocks[k][q, files[0]] = block
 
-            signals = build_signals(scheme, computed)  # in the order the trace digests pin
+            signals = _encode(scheme, blocks, _block_segment)  # in the order the trace digests pin
             for signal in signals:
                 sender = nodes[signal.sender - 1]
                 sender.sent_signals += 1
@@ -424,13 +433,11 @@ def execute(
             for node, inputs in zip(nodes, collected):
                 node.signals = store
                 try:
-                    values = decode_node(node.k, scheme, computed[node.k], node)
+                    _decode(inputs, 1, node.k, scheme, blocks[node.k], node, _block_segment)
                 except Exception as err:
                     raise ExecutionError(f"decode failed at node {node.k}: {err}") from err
-                for n, value in values.items():
-                    inputs[n - 1] = value
                 node.signals = {}
-            del signals, store  # freed once decoded, not held into the next scheme
+            del blocks, signals, store  # freed once decoded, not held into the next scheme
 
         outputs = []
         for node, inputs in zip(nodes, collected):

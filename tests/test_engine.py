@@ -30,8 +30,8 @@ from d3c.engine import (
     oracle,
 )
 from d3c.errors import DecodeError, ExecutionError, InvalidParameterError
-from d3c.scheme import build_basic_scheme, build_cdc_scheme, make_params
-from d3c.shuffle import MulticastSignal
+from d3c.scheme import build_basic_scheme, build_cdc_scheme, byte_iva_bits, make_params
+from d3c.shuffle import MulticastSignal, build_signals, signal_trace_records
 
 
 def run_basic(K, N, r, g, *, T, seed=42, F=64, trace=None):
@@ -355,6 +355,78 @@ def test_trace_stream():
     assert repeat.getvalue() == sink.getvalue()
 
 
+def _block_path_runs():
+    """(plan, T) for every d3c and cdc scheme with K <= 5 at eta 1, 2 and 3
+    and T in {g, 3g, byte_iva_bits}, then composite targets on every route."""
+    for K in range(2, 6):
+        for r in range(1, K + 1):
+            for g in range(1, r + 1):
+                for eta in (1, 2, 3):
+                    N = eta * group_divisor(K, r, g)
+                    for T in sorted({g, 3 * g, byte_iva_bits(g, eta)}):
+                        yield build_basic_scheme(make_params(K, N, r, g, F=16, T=T)), T
+                        if g == r:
+                            yield build_cdc_scheme(K, N, r, F=16, T=T), T
+    for K, r, c in (
+        (4, Fraction(5, 2), Fraction(1)),  # e1
+        (4, Fraction(5, 2), Fraction(29, 20)),  # e3
+        (3, Fraction(9, 4), Fraction(9, 8)),  # e2 with four groups
+        (3, Fraction(2), Fraction(6, 5)),  # e2
+        (3, Fraction(2), Fraction(8, 5)),  # clamp
+    ):
+        plan = plan_for_target(K, minimal_files(K, r, c), r, c)
+        yield plan, safe_iva_bits(plan)
+
+
+def test_block_stores_sign_as_the_iva_stores_do():
+    # execute keeps whole blocks; the public shuffle keeps IvaId stores
+    # mapped from the compute views, and both must put the same signals on
+    # the channel in the same order, and reduce to the oracle's outputs
+    runs = routes = 0
+    for plan, T in _block_path_runs():
+        _, schemes = _bind(plan, 16, T)
+        K = schemes[0].params.K
+        N = sum(scheme.params.N for scheme in schemes)
+        corpus, suite = generate_corpus(N, 16, N + T), default_suite(T)
+        sink = io.StringIO()
+        report = execute(plan, corpus, suite, trace=sink)
+        want = []
+        for scheme in schemes:
+            stores = {
+                k: {
+                    iva: suite.map_fn(iva.target, iva.file, corpus.files[iva.file - 1])
+                    for iva in scheme.compute_own[k] + scheme.compute_coded[k]
+                }
+                for k in range(1, K + 1)
+            }
+            want += signal_trace_records(build_signals(scheme, stores))
+        assert [json.loads(line) for line in sink.getvalue().splitlines()] == want, report.plan
+        assert report.outputs == tuple(o.to_bytes().hex() for o in oracle(corpus, suite, K))
+        runs += 1
+        routes += report.plan["type"] == "composite"
+    assert (runs, routes) == (437, 5)
+
+
+def test_execute_runs_no_iva_store_path(monkeypatch):
+    # the timed path cuts segments from blocks: a run that falls back onto
+    # the IvaId cut or the public exchange calls fails here
+    import d3c.engine
+    import d3c.shuffle
+
+    def refused(*args, **kwargs):
+        raise AssertionError("execute reached an IvaId-store path")
+
+    for module in (d3c.shuffle, d3c.engine):
+        for name in ("_segment", "build_signals", "decode_node"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    assert run_basic(4, 12, 2, 1, T=8).verification_passed
+    K, r, c = 3, Fraction(9, 4), Fraction(9, 8)
+    plan = plan_for_target(K, minimal_files(K, r, c), r, c)
+    corpus = generate_corpus(plan.N, 64, 3)
+    assert execute(plan, corpus, default_suite(safe_iva_bits(plan))).verification_passed
+
+
 def test_report_serialization_roundtrip():
     report = run_basic(3, 6, 2, 2, T=8)
     doc = report.to_dict()
@@ -441,15 +513,14 @@ def test_a_node_is_refused_its_own_signals():
 def test_reduce_input_with_a_hole_raises(monkeypatch):
     import d3c.engine
 
-    real_decode_node = d3c.engine.decode_node
+    real_decode = d3c.engine._decode
 
-    def dropping_decode_node(k, scheme, computed_k, delivered_k):
-        values = real_decode_node(k, scheme, computed_k, delivered_k)
+    def dropping_decode(out, offset, k, *rest):
+        real_decode(out, offset, k, *rest)
         if k == 2:
-            del values[6]
-        return values
+            out[6 - offset] = None
 
-    monkeypatch.setattr(d3c.engine, "decode_node", dropping_decode_node)
+    monkeypatch.setattr(d3c.engine, "_decode", dropping_decode)
     with pytest.raises(ExecutionError, match="node 2 has no value of file 6 to reduce"):
         run_basic(3, 6, 2, 2, T=8)
 

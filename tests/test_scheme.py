@@ -9,6 +9,7 @@ import pytest
 
 import d3c
 from d3c.combinatorics import BatchIndex, binomial, enum_pi
+from d3c.composer import plan_for_target
 from d3c.errors import DivisibilityError, InvalidParameterError
 from d3c.scheme import (
     BasicScheme,
@@ -52,6 +53,27 @@ def test_params_validation():
         SchemeParams(K=3, N=5, F=8, T=8, r=2, g=2)
     with pytest.raises(InvalidParameterError, match="segment divisibility"):
         SchemeParams(K=3, N=3, F=8, T=7, r=2, g=2)  # 2 does not divide 1*7
+
+
+@pytest.mark.parametrize(
+    "call, error, shown",
+    [
+        (lambda: make_params(10, 10**5000, 2, 1), DivisibilityError, "file count at least 2^16609"),
+        (lambda: make_params(10**5000, 10, 2, 1), OverflowError, "C(at least 2^16609, 2)"),
+        (
+            lambda: plan_for_target(10, -(10**5000), 3, 2),
+            InvalidParameterError,
+            "got at most -2^16609",
+        ),
+    ],
+    ids=["N-past-the-print-limit", "K-past-the-print-limit", "negative-N-past-the-print-limit"],
+)
+def test_numbers_past_the_print_limit_keep_their_error_and_a_short_message(call, error, shown):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert shown in str(err.value)
+    assert len(str(err.value)) < 200
 
 
 def test_segment_error_names_the_smallest_whole_byte_T():

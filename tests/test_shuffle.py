@@ -18,6 +18,9 @@ from d3c.errors import DecodeError, InternalConsistencyError, InvalidParameterEr
 from d3c.scheme import IvaId, build_basic_scheme, build_cdc_scheme, make_params
 from d3c.shuffle import (
     MulticastSignal,
+    _block_segment,
+    _decode,
+    _encode,
     build_signals,
     decode_node,
     run_shuffle,
@@ -283,6 +286,36 @@ def test_decode_reads_only_the_values_its_segments_span():
     with pytest.raises(DecodeError, match=re.escape(f"operand {IvaId(4, files[1])} ")) as err:
         decode_node(1, scheme, computed[1], delivered[1])
     assert err.value.batch == ((2, 3, 4), (2, 3, 4))
+    assert err.value.owner == 2
+
+
+def block_stores(scheme, table):
+    """The planned compute sets as ``execute`` keeps them: each other-target
+    block whole under (target, first file of the batch)."""
+    stores = {k: {} for k in scheme.storage}
+    for batch, files in scheme.batches.items():
+        for k, functions in scheme.mappers(batch):
+            for q in functions:
+                if q != k:
+                    block = join(BitString(table[IvaId(q, n)], scheme.params.T) for n in files)
+                    stores[k][q, files[0]] = block.value
+    return stores
+
+
+def test_a_missing_block_names_its_first_value():
+    # the block cut signs as the IvaId cut; node 1's block of target 3 on
+    # batch (1 2, 1 2), files 1 and 2, is an operand at both ends
+    scheme = build_basic_scheme(make_params(3, 6, 2, 2, T=8))
+    computed, table = computed_stores(scheme)
+    blocks = block_stores(scheme, table)
+    assert _encode(scheme, blocks, _block_segment) == build_signals(scheme, computed)
+    delivered, _ = run_shuffle(scheme, computed)
+    del blocks[1][3, 1]
+    with pytest.raises(InternalConsistencyError, match=re.escape(f"operand {IvaId(3, 1)} ")):
+        _encode(scheme, blocks, _block_segment)
+    with pytest.raises(DecodeError, match=re.escape(f"operand {IvaId(3, 1)} ")) as err:
+        _decode({}, 0, 1, scheme, blocks[1], delivered[1], _block_segment)
+    assert err.value.batch == ((2, 3), (2, 3))
     assert err.value.owner == 2
 
 
