@@ -20,6 +20,7 @@ fields, so identical inputs serialize byte-identically.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import threading
@@ -34,12 +35,7 @@ from .bits import BitString
 from .combinatorics import group_divisor
 from .composer import CompositePlan, safe_iva_bits
 from .errors import ExecutionError, InvalidParameterError
-from .scheme import (
-    BasicScheme,
-    LoadReport,
-    SchemeParams,
-    _placement,
-)
+from .scheme import BasicScheme, LoadReport, SchemeParams, _placement
 from .shuffle import _block_segment, _decode, _encode, write_signal_trace
 
 
@@ -179,6 +175,18 @@ _FORK_MIN_VALUES = 2**17  # N*K from which a forked oracle was measured to save 
 def _one_thread() -> bool:  # the kernel's task list also shows native threads
     tasks = "/proc/self/task"
     return len(os.listdir(tasks)) == 1 if os.path.isdir(tasks) else threading.active_count() == 1
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Cyclic GC off for the block: a run makes no cycles, and a pass re-walks its K x N reduce inputs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @contextmanager
@@ -367,6 +375,7 @@ def _signal_overhead_bits(K: int, group_i: int, group_j: int) -> int:
     return per_id * (1 + group_i + group_j)
 
 
+@_collector_paused()
 def execute(
     plan: BasicScheme | CompositePlan,
     corpus: Corpus,

@@ -427,6 +427,35 @@ def test_execute_runs_no_iva_store_path(monkeypatch):
     assert execute(plan, corpus, default_suite(safe_iva_bits(plan))).verification_passed
 
 
+def test_execute_pauses_the_cyclic_collector_and_puts_it_back():
+    # a run makes no reference cycles, so its collector passes would only
+    # re-walk the reduce inputs: execute runs with automatic collection off
+    # and leaves it as the caller had it, also when the run raises
+    import gc
+
+    base = default_suite(8)
+    seen = []
+
+    def map_fn(target, n, data):
+        seen.append(gc.isenabled())
+        return base.map_fn(target, n, data)
+
+    suite = FunctionSuite(map_fn, base.reduce_fn, base.iva_bits, base.output_bits)
+    scheme = build_basic_scheme(make_params(3, 6, 2, 2, T=8))
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            assert execute(scheme, generate_corpus(6, 64, 0), suite).verification_passed
+            assert gc.isenabled() is enabled
+        gc.enable()
+        with pytest.raises(InvalidParameterError):
+            execute(scheme, generate_corpus(5, 64, 0), suite)
+        assert gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen and not any(seen)
+
+
 def test_report_serialization_roundtrip():
     report = run_basic(3, 6, 2, 2, T=8)
     doc = report.to_dict()
