@@ -93,11 +93,11 @@ class TradeoffCurve:
 
 def _check_r(K: int, r: Fraction, *, allow_K: bool = False) -> None:
     if K < 2:
-        raise InvalidParameterError(f"need at least 2 nodes, got K={K}")
+        raise InvalidParameterError(f"need at least 2 nodes, got K={int_text(K)}")
     top_ok = r <= K if allow_K else r < K
     if not (1 <= r and top_ok):
         bound = "<=" if allow_K else "<"
-        raise InvalidParameterError(f"need 1 <= r {bound} {K}, got r={r}")
+        raise InvalidParameterError(f"need 1 <= r {bound} {int_text(K)}, got r={r}")
 
 
 def scaled_computation(K: int, r: int | Fraction, g: int | Fraction) -> int | Fraction:
@@ -138,7 +138,7 @@ def corner_load(K: int, r: RationalLike, g: int) -> CornerPoint:
     _check_r(K, r)
     if not 1 <= g <= math.floor(r):
         raise InvalidParameterError(
-            f"corner parameter must satisfy 1 <= g <= floor(r) = {math.floor(r)}, got {g}"
+            f"corner parameter must satisfy 1 <= g <= floor(r) = {math.floor(r)}, got {int_text(g)}"
         )
     return CornerPoint(Fraction(g), basic_computation(K, r, g), basic_communication(K, r, g))
 

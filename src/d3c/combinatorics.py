@@ -44,14 +44,14 @@ class GroupIndex(NamedTuple):
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k); zero when k > n. Raises OverflowError past the 64-bit range."""
+    """C(n, k); zero when k > n. Raises InvalidParameterError past the 64-bit range."""
     if n < 0 or k < 0:
         raise InvalidParameterError("binomial arguments must be non-negative")
     if k > n:
         return 0
     value = math.comb(n, k)
     if value > _COUNT_MAX:
-        raise OverflowError(f"C({int_text(n)}, {k}) exceeds the 64-bit count range")
+        raise InvalidParameterError(f"C({int_text(n)}, {int_text(k)}) exceeds the 64-bit count range")
     return value
 
 
@@ -103,13 +103,13 @@ def batch_size(N: int, K: int, r: int, g: int) -> int:
 
 def _check_params(K: int, r: int, g: int, *, require_r_below_K: bool) -> None:
     if K < 1:
-        raise InvalidParameterError(f"node count must be positive, got K={K}")
+        raise InvalidParameterError(f"node count must be positive, got K={int_text(K)}")
     if not 1 <= g <= r:
-        raise InvalidParameterError(f"need 1 <= g <= r, got g={g}, r={r}")
+        raise InvalidParameterError(f"need 1 <= g <= r, got g={int_text(g)}, r={int_text(r)}")
     if require_r_below_K:
         if r >= K:
             raise InvalidParameterError(
-                f"no multicast group fits: need r < K, got r={r}, K={K}"
+                f"no multicast group fits: need r < K, got r={int_text(r)}, K={int_text(K)}"
             )
     elif r > K:
-        raise InvalidParameterError(f"need r <= K, got r={r}, K={K}")
+        raise InvalidParameterError(f"need r <= K, got r={int_text(r)}, K={int_text(K)}")

@@ -36,7 +36,7 @@ from .combinatorics import group_divisor
 from .composer import CompositePlan, safe_iva_bits
 from .errors import ExecutionError, InvalidParameterError
 from .scheme import BasicScheme, LoadReport, SchemeParams, _placement
-from .shuffle import _block_segment, _decode, _encode, write_signal_trace
+from .shuffle import _decode, _encode, write_signal_trace
 
 
 @dataclass(frozen=True)
@@ -429,7 +429,7 @@ def execute(
                                 block = block << T | map_fn(q, n, d)
                             blocks[k][q, files[0]] = block
 
-            signals = _encode(scheme, blocks, _block_segment)  # in the order the trace digests pin
+            signals = _encode(scheme, blocks)  # in the order the trace digests pin
             for signal in signals:
                 sender = nodes[signal.sender - 1]
                 sender.sent_signals += 1
@@ -442,7 +442,7 @@ def execute(
             for node, inputs in zip(nodes, collected):
                 node.signals = store
                 try:
-                    _decode(inputs, 1, node.k, scheme, blocks[node.k], node, _block_segment)
+                    _decode(inputs, 1, node.k, scheme, blocks[node.k], node)
                 except Exception as err:
                     raise ExecutionError(f"decode failed at node {node.k}: {err}") from err
                 node.signals = {}

@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
+from .analytics import int_text
 from .combinatorics import BatchIndex, GroupIndex, batch_size, enum_omega, enum_pi, group_divisor
 from .errors import InvalidParameterError
 
@@ -62,20 +63,21 @@ class SchemeParams:
 
     def __post_init__(self):
         if self.K < 2:
-            raise InvalidParameterError(f"need at least 2 nodes, got K={self.K}")
+            raise InvalidParameterError(f"need at least 2 nodes, got K={int_text(self.K)}")
         if not 1 <= self.g <= self.r <= self.K:
             raise InvalidParameterError(
-                f"need 1 <= g <= r <= K, got g={self.g}, r={self.r}, K={self.K}"
+                f"need 1 <= g <= r <= K, got g={int_text(self.g)}, r={int_text(self.r)}, "
+                f"K={int_text(self.K)}"
             )
         if self.F < 1 or self.T < 1:
             raise InvalidParameterError("file and intermediate-value sizes must be positive")
         eta = batch_size(self.N, self.K, self.r, self.g)  # also checks divisibility
         if (eta * self.T) % self.g:
             raise InvalidParameterError(
-                f"segment divisibility violated: g={self.g} must divide "
-                f"eta*T = {eta}*{self.T}; choose T as a multiple of "
-                f"{self.g // math.gcd(self.g, eta)} (the smallest whole-byte T is "
-                f"{byte_iva_bits(self.g, eta)})"
+                f"segment divisibility violated: g={int_text(self.g)} must divide "
+                f"eta*T = {int_text(eta)}*{int_text(self.T)}; choose T as a multiple of "
+                f"{int_text(self.g // math.gcd(self.g, eta))} (the smallest whole-byte T is "
+                f"{int_text(byte_iva_bits(self.g, eta))})"
             )
 
     @property

@@ -11,12 +11,11 @@ and what is left is its missing segment. Both ends read who requests which
 batch, and who owns its segments, from the scheme's coding table
 (``BasicScheme.coding``). A block is its values joined in file order, the
 first file in the top bits. ``_xor_known`` is the only XOR over the known
-terms. One encode loop and one decode loop serve two kinds of store, which
-differ only in how an operand segment is cut. From an ``IvaId`` store of one
-value per (target, file), which the public calls read, ``_segment`` joins
-just the values the segment spans, so no whole block is built. From a block
-store, ``engine.execute``'s, which keeps each block whole under (target,
-first file of the batch), ``_block_segment`` cuts with one shift and mask.
+terms, and the only cut: one shift and mask of a block. The encode and the
+decode loop read one kind of store, ``engine.execute``'s, which keeps each
+block whole under (target, first file of the batch). The public calls take
+``IvaId`` stores of one value per (target, file) and join each node's store
+into blocks on entry (``_join``), as ``execute``'s map loop builds them.
 An intermediate value is an int below 2**T, from the computed stores
 through the decoded result; ``BitString`` wraps only each signal payload,
 once.
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Callable, Mapping
+from typing import IO, Mapping
 
 from .bits import BitString
 from .combinatorics import GroupIndex
@@ -37,7 +36,6 @@ from .errors import DecodeError, InternalConsistencyError
 from .scheme import BasicScheme, CodingRow, IvaId
 
 IvaStore = Mapping[IvaId, int]
-Cut = Callable[[Mapping, int, CodingRow, int, int], int]  # _segment or _block_segment
 
 
 @dataclass(frozen=True)
@@ -53,57 +51,53 @@ class MulticastSignal:
         return self.payload.length
 
 
-def _segment(store: IvaStore, T: int, row: CodingRow, owner: int, seg_bits: int) -> int:
-    """The ``owner`` segment of the block that ``row`` requests, cut from the
-    values it spans alone. The block is the row member's values for its
-    files joined in file order, and its owners hold its g segments in
+def _join(scheme: BasicScheme, k: int, store: IvaStore) -> dict[tuple[int, int], int]:
+    """Node k's values of the other targets in ``store`` as ``execute`` keeps
+    them: one block per (target, batch) that ``mappers`` has k map, keyed by
+    (target, first file). A block with a value missing from ``store`` is left
+    out, and the cut that needs it names its first value."""
+    T, blocks = scheme.params.T, {}
+    for batch, files in scheme.batches.items():
+        if k in batch.s:
+            for q in dict(scheme.mappers(batch))[k]:
+                if q != k:
+                    try:
+                        block = 0
+                        for n in files:
+                            block = block << T | store[q, n]
+                    except KeyError:
+                        continue
+                    blocks[q, files[0]] = block
+    return blocks
+
+
+def _xor_known(acc: int, store: Mapping, members: tuple[CodingRow, ...], owner: int,
+               seg_bits: int, skip: int | None = None) -> int:
+    """``acc`` XORed with the ``owner`` segment of the block requested by each
+    member of the group other than ``owner`` and ``skip``. Each block is whole
+    in ``store`` under (member, first file), its owners' g segments in
     ascending order from the most significant bits. Raises KeyError naming
-    the first spanned IvaId missing from ``store``."""
-    i, files, owners = row
-    start = owners.index(owner) * seg_bits
-    end = start + seg_bits
-    last = -(-end // T)
-    v = 0
-    try:
-        for n in files[start // T : last]:
-            v = (v << T) | store[i, n]
-    except KeyError:
-        raise KeyError(IvaId(i, n)) from None
-    return (v >> (last * T - end)) & ((1 << seg_bits) - 1)
-
-
-def _block_segment(store: Mapping, T: int, row: CodingRow, owner: int, seg_bits: int) -> int:
-    """``_segment`` from a store holding each block whole under (member,
-    first file): one shift and mask."""
-    i, files, owners = row
-    try:
-        block = store[i, files[0]]
-    except KeyError:
-        raise KeyError(IvaId(i, files[0])) from None
-    return (block >> (len(owners) - 1 - owners.index(owner)) * seg_bits) & ((1 << seg_bits) - 1)
-
-
-def _xor_known(acc: int, store: Mapping, cut: Cut, T: int, members: tuple[CodingRow, ...],
-               owner: int, seg_bits: int, skip: int | None = None) -> int:
-    """``acc`` XORed with the ``owner`` segment, cut from ``store`` by ``cut``,
-    of the block requested by each member of the group other than ``owner``
-    and ``skip``."""
-    for row in members:
-        if row[0] != owner and row[0] != skip:
-            acc ^= cut(store, T, row, owner, seg_bits)
+    the first value of a block missing from ``store``."""
+    mask = (1 << seg_bits) - 1
+    for i, files, owners in members:
+        if i != owner and i != skip:
+            try:
+                block = store[i, files[0]]
+            except KeyError:
+                raise KeyError(IvaId(i, files[0])) from None
+            acc ^= block >> (len(owners) - 1 - owners.index(owner)) * seg_bits & mask
     return acc
 
 
-def _encode(scheme: BasicScheme, computed: Mapping[int, Mapping], cut: Cut
-            ) -> list[MulticastSignal]:
-    """``build_signals`` over the stores that ``cut`` reads."""
+def _encode(scheme: BasicScheme, blocks: Mapping[int, Mapping]) -> list[MulticastSignal]:
+    """``build_signals`` over each node's block store."""
     p = scheme.params
-    T, seg_bits = p.T, p.eta * p.T // p.g
+    seg_bits = p.eta * p.T // p.g
     signals = []
     for group, members in scheme.coding.items():
         for sender in group.j:
             try:
-                payload = _xor_known(0, computed[sender], cut, T, members, sender, seg_bits)
+                payload = _xor_known(0, blocks[sender], members, sender, seg_bits)
             except KeyError as missing:
                 raise InternalConsistencyError(
                     f"node {sender} lacks operand {missing} for group {group}"
@@ -119,7 +113,7 @@ def build_signals(scheme: BasicScheme, computed: Mapping[int, IvaStore]) -> list
     members of its group's j-set. All operands are in the sender's planned
     compute set; a miss indicates a compute-plan bug.
     """
-    return _encode(scheme, computed, _segment)
+    return _encode(scheme, {k: _join(scheme, k, store) for k, store in computed.items()})
 
 
 def run_shuffle(
@@ -146,13 +140,13 @@ def _decode_error(k: int, group: GroupIndex, owner: int, why: str) -> DecodeErro
     return DecodeError(f"node {k} {why}", batch=group.requested_by(k), owner=owner)
 
 
-def _decode(out: dict | list, offset: int, k: int, scheme: BasicScheme, computed_k: Mapping,
-            delivered_k: Mapping[tuple[int, GroupIndex], MulticastSignal], cut: Cut) -> None:
+def _decode(out: dict | list, offset: int, k: int, scheme: BasicScheme, blocks_k: Mapping,
+            delivered_k: Mapping[tuple[int, GroupIndex], MulticastSignal]) -> None:
     """Write node k's value of each file n it does not store to
     ``out[n - offset]``. Each missing batch is k's row of a group whose j-set
     holds k (``member_groups``). For each coding-set member j, the j-owned
     segment of k's block is j's group signal with the known terms, cut from
-    ``computed_k`` by ``cut``, cancelled (``_xor_known`` skipping k);
+    the blocks of ``blocks_k``, cancelled (``_xor_known`` skipping k);
     segments reassemble in ascending owner order into the block, which
     splits back into values.
     """
@@ -171,9 +165,7 @@ def _decode(out: dict | list, offset: int, k: int, scheme: BasicScheme, computed
                 raise _decode_error(k, group, j, f"got a {signal.bit_length}-bit signal from {j} "
                                     f"for group {group}; segments have {seg_bits} bits")
             try:
-                seg = _xor_known(
-                    signal.payload.value, computed_k, cut, T, members, j, seg_bits, skip=k
-                )
+                seg = _xor_known(signal.payload.value, blocks_k, members, j, seg_bits, skip=k)
             except KeyError as missing:
                 why = f"lacks local operand {missing} for group {group}"
                 raise _decode_error(k, group, j, why) from None
@@ -193,7 +185,8 @@ def decode_node(
     """Recover node k's full value set {v_(k,n) : n in [N]}, as ints by file.
 
     Locally computed values cover stored batches; ``_decode`` recovers the
-    rest, reading only the values its segments span.
+    rest from the other-target values joined into blocks on entry, so every
+    value of a block it cancels must be in ``computed_k``.
     """
     result: dict[int, int] = {}
     for n in scheme.storage[k]:
@@ -201,7 +194,7 @@ def decode_node(
         if iva is None:
             raise DecodeError(f"node {k} missing own value for file {n}")
         result[n] = iva
-    _decode(result, 0, k, scheme, computed_k, delivered_k, _segment)
+    _decode(result, 0, k, scheme, _join(scheme, k, computed_k), delivered_k)
     return result
 
 

@@ -58,7 +58,7 @@ def test_binomial_rejects_negative():
 
 
 def test_binomial_overflow_is_explicit():
-    with pytest.raises(OverflowError):
+    with pytest.raises(InvalidParameterError):
         binomial(70, 35)  # ~1.1e20, past the 64-bit count range
 
 

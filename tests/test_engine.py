@@ -408,18 +408,18 @@ def test_block_stores_sign_as_the_iva_stores_do():
 
 
 def test_execute_runs_no_iva_store_path(monkeypatch):
-    # the timed path cuts segments from blocks: a run that falls back onto
-    # the IvaId cut or the public exchange calls fails here
+    # the timed path keeps its values as blocks: a run that joins an IvaId
+    # store or falls back onto the public exchange calls fails here
     import d3c.engine
     import d3c.shuffle
 
     def refused(*args, **kwargs):
         raise AssertionError("execute reached an IvaId-store path")
 
-    for module in (d3c.shuffle, d3c.engine):
-        for name in ("_segment", "build_signals", "decode_node"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refused)
+    for name in ("_join", "build_signals", "decode_node"):
+        monkeypatch.setattr(d3c.shuffle, name, refused)  # raises if the name is gone
+        if hasattr(d3c.engine, name):
+            monkeypatch.setattr(d3c.engine, name, refused)
     assert run_basic(4, 12, 2, 1, T=8).verification_passed
     K, r, c = 3, Fraction(9, 4), Fraction(9, 8)
     plan = plan_for_target(K, minimal_files(K, r, c), r, c)

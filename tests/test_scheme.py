@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import d3c
+from d3c.analytics import build_curve, corner_load
 from d3c.combinatorics import BatchIndex, binomial, enum_pi
-from d3c.composer import plan_for_target
+from d3c.composer import minimal_files, plan_for_target
 from d3c.errors import DivisibilityError, InvalidParameterError
 from d3c.scheme import (
     BasicScheme,
@@ -59,14 +60,34 @@ def test_params_validation():
     "call, error, shown",
     [
         (lambda: make_params(10, 10**5000, 2, 1), DivisibilityError, "file count at least 2^16609"),
-        (lambda: make_params(10**5000, 10, 2, 1), OverflowError, "C(at least 2^16609, 2)"),
+        (lambda: make_params(10**5000, 10, 2, 1), InvalidParameterError, "C(at least 2^16609, 2)"),
         (
             lambda: plan_for_target(10, -(10**5000), 3, 2),
             InvalidParameterError,
             "got at most -2^16609",
         ),
+        (lambda: corner_load(10, 3, 10**5000), InvalidParameterError, "got at least 2^16609"),
+        (lambda: build_curve(-(10**5000), 3), InvalidParameterError, "K=at most -2^16609"),
+        (lambda: make_params(10, 10, 10**5000, 1), InvalidParameterError, "r=at least 2^16609"),
+        (
+            lambda: SchemeParams(K=-(10**5000), N=10, F=8, T=8, r=2, g=1),
+            InvalidParameterError,
+            "K=at most -2^16609",
+        ),
+        (lambda: build_cdc_scheme(10, 10, 10**5000), InvalidParameterError, "g=at least 2^16609"),
+        (lambda: minimal_files(10**5000, 3, 2), InvalidParameterError, "C(at least 2^16609, 3)"),
     ],
-    ids=["N-past-the-print-limit", "K-past-the-print-limit", "negative-N-past-the-print-limit"],
+    ids=[
+        "N-past-the-print-limit",
+        "K-past-the-print-limit",
+        "negative-N-past-the-print-limit",
+        "corner-g-past-the-print-limit",
+        "curve-K-past-the-print-limit",
+        "r-past-the-print-limit",
+        "params-K-past-the-print-limit",
+        "cdc-r-past-the-print-limit",
+        "minimal-files-K-past-the-print-limit",
+    ],
 )
 def test_numbers_past_the_print_limit_keep_their_error_and_a_short_message(call, error, shown):
     with pytest.raises(error) as err:

@@ -18,7 +18,6 @@ from d3c.errors import DecodeError, InternalConsistencyError, InvalidParameterEr
 from d3c.scheme import IvaId, build_basic_scheme, build_cdc_scheme, make_params
 from d3c.shuffle import (
     MulticastSignal,
-    _block_segment,
     _decode,
     _encode,
     build_signals,
@@ -270,23 +269,24 @@ def test_missing_local_operand_is_a_decode_error():
         decode_node(1, scheme, computed[1], delivered[1])
 
 
-def test_decode_reads_only_the_values_its_segments_span():
+def test_decode_needs_every_value_of_a_needed_block():
     # 40-bit segments of 24-bit values: in group (1 2 3 4), node 1 cancels
-    # owner 2's and owner 3's segments (bits 40-120) of the block node 4
-    # requests from batch (1 2 3, 1 2 3), never its own (bits 0-40)
+    # owner 2's and owner 3's segments of the block node 4 requests from
+    # batch (1 2 3, 1 2 3); the block is joined whole, so a store missing
+    # any of its five values fails at owner 2, naming the block's first value
     scheme = minimal_scheme(5, 3, 3, eta=5, T=24)
     files = scheme.batches[((1, 2, 3), (1, 2, 3))]
     computed, table = computed_stores(scheme)
     delivered, _ = run_shuffle(scheme, computed)
-    del computed[1][IvaId(4, files[0])]  # bits 0-24: spanned by no needed segment
     values = decode_node(1, scheme, computed[1], delivered[1])
     assert values == {n: table[IvaId(1, n)] for n in range(1, scheme.params.N + 1)}
-    computed, _ = computed_stores(scheme)
-    del computed[1][IvaId(4, files[1])]  # bits 24-48: owner 2's segment starts at bit 40
-    with pytest.raises(DecodeError, match=re.escape(f"operand {IvaId(4, files[1])} ")) as err:
-        decode_node(1, scheme, computed[1], delivered[1])
-    assert err.value.batch == ((2, 3, 4), (2, 3, 4))
-    assert err.value.owner == 2
+    for n in files:
+        store = dict(computed[1])
+        del store[IvaId(4, n)]
+        with pytest.raises(DecodeError, match=re.escape(f"operand {IvaId(4, files[0])} ")) as err:
+            decode_node(1, scheme, store, delivered[1])
+        assert err.value.batch == ((2, 3, 4), (2, 3, 4))
+        assert err.value.owner == 2
 
 
 def block_stores(scheme, table):
@@ -308,13 +308,13 @@ def test_a_missing_block_names_its_first_value():
     scheme = build_basic_scheme(make_params(3, 6, 2, 2, T=8))
     computed, table = computed_stores(scheme)
     blocks = block_stores(scheme, table)
-    assert _encode(scheme, blocks, _block_segment) == build_signals(scheme, computed)
+    assert _encode(scheme, blocks) == build_signals(scheme, computed)
     delivered, _ = run_shuffle(scheme, computed)
     del blocks[1][3, 1]
     with pytest.raises(InternalConsistencyError, match=re.escape(f"operand {IvaId(3, 1)} ")):
-        _encode(scheme, blocks, _block_segment)
+        _encode(scheme, blocks)
     with pytest.raises(DecodeError, match=re.escape(f"operand {IvaId(3, 1)} ")) as err:
-        _decode({}, 0, 1, scheme, blocks[1], delivered[1], _block_segment)
+        _decode({}, 0, 1, scheme, blocks[1], delivered[1])
     assert err.value.batch == ((2, 3), (2, 3))
     assert err.value.owner == 2
 
